@@ -15,7 +15,7 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::vector<std::string> Split(std::string_view input, char sep);
 
 /// FNV-1a 64-bit hash; stable across platforms, used for DHT keys and
-/// conflict-group bucketing.
+/// (relation, key) hashing.
 uint64_t Fnv1a64(std::string_view data);
 
 /// Combines two hash values (Boost-style mixing).

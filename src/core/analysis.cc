@@ -1,8 +1,8 @@
 #include "core/analysis.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "core/extension.h"
@@ -13,6 +13,22 @@ namespace orchestra::core {
 
 namespace {
 
+/// UpdateFootprint without the members in `exclude` (id-sorted), borrowed
+/// from the provider rather than copied.
+std::vector<const Update*> BorrowFootprint(
+    const TransactionProvider& provider,
+    const std::vector<TransactionId>& extension,
+    const std::vector<TransactionId>& exclude = {}) {
+  std::vector<const Update*> footprint;
+  for (const TransactionId& id : extension) {
+    if (std::binary_search(exclude.begin(), exclude.end(), id)) continue;
+    auto txn = provider.Get(id);
+    if (!txn.ok()) continue;  // as UpdateFootprint: resolved upstream
+    for (const Update& u : (*txn)->updates) footprint.push_back(&u);
+  }
+  return footprint;
+}
+
 /// The direct-conflict test for one candidate pair (i, j): the cheap
 /// full-extension conflict test, the Fig. 5 subsumption exemption, and
 /// the Definition 4 shared-antecedent refinement. Returns the conflict
@@ -22,36 +38,109 @@ namespace {
 std::vector<ConflictPoint> TestCandidatePair(
     const db::Catalog& catalog, const TransactionProvider& provider,
     const TrustedTxn& txn_i, const TrustedTxn& txn_j,
-    const std::vector<Update>& up_ex_i, const std::vector<Update>& up_ex_j) {
-  std::vector<ConflictPoint> points = SetsConflict(catalog, up_ex_i, up_ex_j);
+    const FlatExtension& ext_i, const FlatExtension& ext_j) {
+  std::vector<ConflictPoint> points = SetsConflict(ext_i, ext_j);
   if (points.empty()) return points;
   // Fig. 5 FindConflicts line 4: a subsumed transaction never counts as
   // conflicting with its subsumer.
-  if (Subsumes(txn_i.extension, txn_j.extension) ||
-      Subsumes(txn_j.extension, txn_i.extension)) {
+  if (Subsumes(ext_i.members, ext_j.members) ||
+      Subsumes(ext_j.members, ext_i.members)) {
     return {};
   }
   // Definition 4 (direct conflict): interactions through *shared*
   // antecedents do not count — compare the extensions with the shared
   // transactions S removed. Only needed when the cheap full-extension
   // test fired and the extensions overlap.
-  TxnIdSet shared;
-  {
-    TxnIdSet ext_i(txn_i.extension.begin(), txn_i.extension.end());
-    for (const TransactionId& id : txn_j.extension) {
-      if (ext_i.count(id) != 0) shared.insert(id);
-    }
-  }
+  const std::vector<TransactionId> shared =
+      SharedMembers(ext_i.members, ext_j.members);
   if (!shared.empty()) {
     auto flat_i =
-        Flatten(catalog, UpdateFootprint(provider, txn_i.extension, shared));
+        FlattenKeyed(catalog, BorrowFootprint(provider, txn_i.extension,
+                                              shared));
     auto flat_j =
-        Flatten(catalog, UpdateFootprint(provider, txn_j.extension, shared));
+        FlattenKeyed(catalog, BorrowFootprint(provider, txn_j.extension,
+                                              shared));
     if (flat_i.ok() && flat_j.ok()) {
-      points = SetsConflict(catalog, *flat_i, *flat_j);
+      points = SetsConflict(*flat_i, *flat_j);
     }
   }
   return points;
+}
+
+/// Every unordered pair (i, j), i < j, j >= first, of transactions whose
+/// flattened extensions share a touched key, in increasing (i, j) order.
+/// Each transaction contributes its distinct keys once; sorting the
+/// entries by (hash, txn) groups the holders of each key, so no hash
+/// table is built.
+std::vector<std::pair<size_t, size_t>> CandidatePairs(
+    const std::vector<FlatExtensionRef>& up_ex, size_t first) {
+  struct Entry {
+    uint64_t hash;
+    uint32_t txn;
+    const RelKey* key;
+  };
+  std::vector<Entry> entries;
+  for (size_t i = 0; i < up_ex.size(); ++i) {
+    const std::vector<KeyedUpdates::Key>& keys = up_ex[i]->keys;
+    for (size_t k = 0; k < keys.size(); ++k) {
+      // Equal keys are adjacent within one extension's sorted list, up
+      // to hash collisions; skip repeats of a key this txn already gave.
+      bool repeat = false;
+      for (size_t p = k; p-- > 0 && keys[p].hash == keys[k].hash;) {
+        if (keys[p].key == keys[k].key) {
+          repeat = true;
+          break;
+        }
+      }
+      if (!repeat) {
+        entries.push_back(
+            Entry{keys[k].hash, static_cast<uint32_t>(i), &keys[k].key});
+      }
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) {
+              if (a.hash != b.hash) return a.hash < b.hash;
+              return a.txn < b.txn;
+            });
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t lo = 0; lo < entries.size();) {
+    size_t hi = lo + 1;
+    bool one_key = true;  // false only on a hash collision
+    while (hi < entries.size() && entries[hi].hash == entries[lo].hash) {
+      one_key = one_key && *entries[hi].key == *entries[lo].key;
+      ++hi;
+    }
+    for (size_t a = lo; a < hi; ++a) {
+      for (size_t b = a + 1; b < hi; ++b) {
+        const uint32_t i = entries[a].txn;
+        const uint32_t j = entries[b].txn;
+        if (i == j || j < first) continue;  // head×head pairs already done
+        if (!one_key && !(*entries[a].key == *entries[b].key)) continue;
+        pairs.emplace_back(i, j);
+      }
+    }
+    lo = hi;
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+/// Flattens and keys one transaction extension (sorted by publication
+/// order, as TrustedTxn::extension is).
+FlatExtensionRef FlattenExtension(const db::Catalog& catalog,
+                                  const TransactionProvider& provider,
+                                  const std::vector<TransactionId>& extension) {
+  auto ext = std::make_shared<FlatExtension>();
+  auto flat = FlattenKeyed(catalog, BorrowFootprint(provider, extension));
+  if (flat.ok()) {
+    static_cast<KeyedUpdates&>(*ext) = *std::move(flat);
+    ext->ok = true;
+  }
+  ext->members = extension;
+  std::sort(ext->members.begin(), ext->members.end());
+  return ext;
 }
 
 }  // namespace
@@ -72,7 +161,6 @@ void FlattenExtensions(const db::Catalog& catalog,
                        const AnalysisOptions& options) {
   const size_t start = analysis->up_ex.size();
   analysis->up_ex.resize(txns.size());
-  analysis->flatten_ok.resize(txns.size(), 0);
 
   // Probe the cache on the calling thread; only misses do real work.
   std::vector<size_t> misses;
@@ -82,10 +170,9 @@ void FlattenExtensions(const db::Catalog& catalog,
   for (size_t i = start; i < txns.size(); ++i) {
     if (options.cache != nullptr) {
       fingerprint[i] = FlattenCache::ExtensionFingerprint(txns[i].extension);
-      if (const FlattenCache::FlatEntry* hit =
+      if (const FlatExtensionRef* hit =
               options.cache->FindFlat(txns[i].id, fingerprint[i])) {
-        analysis->up_ex[i] = hit->up_ex;
-        analysis->flatten_ok[i] = hit->ok ? 1 : 0;
+        analysis->up_ex[i] = *hit;
         continue;
       }
     }
@@ -96,18 +183,12 @@ void FlattenExtensions(const db::Catalog& catalog,
   // loop is race-free and its output identical to the serial loop's.
   ParallelFor(options.pool, misses.size(), [&](size_t k) {
     const size_t i = misses[k];
-    std::vector<Update> footprint = UpdateFootprint(provider, txns[i].extension);
-    auto flat = Flatten(catalog, footprint);
-    if (flat.ok()) {
-      analysis->up_ex[i] = *std::move(flat);
-      analysis->flatten_ok[i] = 1;
-    }
+    analysis->up_ex[i] = FlattenExtension(catalog, provider, txns[i].extension);
   });
 
   if (options.cache != nullptr) {
     for (size_t i : misses) {
-      options.cache->PutFlat(txns[i].id, fingerprint[i], analysis->up_ex[i],
-                             analysis->flatten_ok[i] != 0);
+      options.cache->PutFlat(txns[i].id, fingerprint[i], analysis->up_ex[i]);
     }
   }
 }
@@ -118,41 +199,11 @@ void FindExtensionConflicts(const db::Catalog& catalog,
                             size_t first, ReconcileAnalysis* analysis,
                             const AnalysisOptions& options) {
   const size_t n = txns.size();
-  // Candidate pairs share a touched key; bucket by key, then test each
-  // candidate pair at most once.
-  std::unordered_map<RelKey, std::vector<size_t>, RelKeyHash> buckets;
-  buckets.reserve(2 * n);
-  for (size_t i = 0; i < n; ++i) {
-    for (const Update& u : analysis->up_ex[i]) {
-      const db::RelationSchema& schema =
-          *catalog.GetRelation(u.relation()).value();
-      for (RelKey& rk : u.TouchedKeys(schema)) {
-        auto& bucket = buckets[std::move(rk)];
-        if (bucket.empty() || bucket.back() != i) bucket.push_back(i);
-      }
-    }
-  }
-
-  // Collect the deduplicated candidate pairs, then order them by (i, j)
-  // so that testing order, cache-fill order, and result order are all
-  // independent of hash-bucket iteration order and of thread count.
-  std::unordered_set<uint64_t> tested;
-  tested.reserve(8 * n);
-  std::vector<std::pair<size_t, size_t>> pairs;
-  // ORCH_LINT(allow:D3): collects a deduplicated pair set that is sorted before any testing; bucket visit order cannot reach the result
-  for (const auto& [key, bucket] : buckets) {
-    for (size_t a = 0; a < bucket.size(); ++a) {
-      for (size_t b = a + 1; b < bucket.size(); ++b) {
-        const size_t i = std::min(bucket[a], bucket[b]);
-        const size_t j = std::max(bucket[a], bucket[b]);
-        if (i == j || j < first) continue;  // head×head pairs already done
-        const uint64_t packed = (static_cast<uint64_t>(i) << 32) |
-                                static_cast<uint64_t>(j);
-        if (tested.insert(packed).second) pairs.emplace_back(i, j);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
+  // Candidate pairs share a touched key, in (i, j) order, so testing
+  // order, cache-fill order and result order do not depend on thread
+  // count.
+  const std::vector<std::pair<size_t, size_t>> pairs =
+      CandidatePairs(analysis->up_ex, first);
 
   // Resolve from the cache where possible; test the rest in parallel.
   // Every slot of `points` is written by exactly one task.
@@ -177,7 +228,7 @@ void FindExtensionConflicts(const db::Catalog& catalog,
     if (cached[p]) return;
     const auto [i, j] = pairs[p];
     points[p] = TestCandidatePair(catalog, provider, txns[i], txns[j],
-                                  analysis->up_ex[i], analysis->up_ex[j]);
+                                  *analysis->up_ex[i], *analysis->up_ex[j]);
   });
   if (options.cache != nullptr) {
     for (size_t p = 0; p < pairs.size(); ++p) {

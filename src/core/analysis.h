@@ -6,6 +6,7 @@
 #include "common/result.h"
 #include "db/schema.h"
 #include "core/conflict.h"
+#include "core/flatten.h"
 #include "core/reconciler.h"
 #include "core/transaction.h"
 
@@ -28,11 +29,12 @@ class FlattenCache;  // core/flatten_cache.h
 /// for client work. Both paths call the same functions below, so the two
 /// modes are decision-equivalent by construction.
 struct ReconcileAnalysis {
-  /// Flattened update extension per input transaction (parallel to the
-  /// TrustedTxn list). Empty with flatten_ok[i] == false when the
-  /// extension is internally inconsistent (the reconciler rejects it).
-  std::vector<std::vector<Update>> up_ex;
-  std::vector<uint8_t> flatten_ok;
+  /// Flattened, keyed update extension per input transaction (parallel
+  /// to the TrustedTxn list; never null once filled). `ok` is false when
+  /// the extension is internally inconsistent (the reconciler rejects
+  /// it). Shared read-only with the FlattenCache and with every consumer
+  /// of the analysis, so copying an analysis copies no updates.
+  std::vector<FlatExtensionRef> up_ex;
 
   /// One entry per directly conflicting, non-subsumed pair (Definition 4
   /// with the Fig. 5 subsumption exemption), i < j indices into the
@@ -45,7 +47,6 @@ struct ReconcileAnalysis {
   std::vector<Pair> conflicts;
 };
 
-/// Flattens every transaction's update extension.
 ReconcileAnalysis::Pair MakeAnalysisPair(size_t i, size_t j,
                                          std::vector<ConflictPoint> points);
 
@@ -67,7 +68,7 @@ struct AnalysisOptions {
   FlattenCache* cache = nullptr;
 };
 
-/// Computes up_ex / flatten_ok for `txns`.
+/// Computes up_ex for the entries of `txns` it does not cover yet.
 void FlattenExtensions(const db::Catalog& catalog,
                        const TransactionProvider& provider,
                        const std::vector<TrustedTxn>& txns,

@@ -1,8 +1,6 @@
 #include "core/conflict.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace orchestra::core {
 
@@ -26,67 +24,58 @@ std::string ConflictPoint::ToString() const {
 
 namespace {
 
-// delete `d` vs insert-or-modify `w`.
-std::optional<ConflictPoint> DeleteVsWrite(const db::RelationSchema& schema,
-                                           const Update& d, const Update& w) {
-  const db::Tuple dk = schema.KeyOf(d.old_tuple());
-  if (w.is_insert()) {
-    if (schema.KeyOf(w.new_tuple()) == dk) {
-      return ConflictPoint{ConflictType::kDeleteVsWrite,
-                           RelKey{d.relation(), dk}};
+bool Same(const HashedRelKey* x, const HashedRelKey* y) {
+  return x != nullptr && y != nullptr && *x == *y;
+}
+
+// The conflict rules of §4 on one pair of updates over precomputed keys:
+// `r*` / `w*` are each update's read (pre-image) and write (post-image)
+// keys, null when its kind has none. This is the only statement of the
+// rules; UpdatesConflict and SetsConflict both call it.
+std::optional<ConflictPoint> Classify(const Update& a, const HashedRelKey* ra,
+                                      const HashedRelKey* wa, const Update& b,
+                                      const HashedRelKey* rb,
+                                      const HashedRelKey* wb) {
+  if (a.is_delete() && b.is_delete()) return std::nullopt;  // they agree
+  if (b.is_delete()) return Classify(b, rb, wb, a, ra, wa);
+  if (a.is_delete()) {
+    // delete vs insert-or-modify: conflicts if the write reads or writes
+    // the deleted key.
+    if (Same(ra, rb) || Same(ra, wb)) {
+      return ConflictPoint{ConflictType::kDeleteVsWrite, ra->key};
     }
     return std::nullopt;
   }
-  // Replacement: conflicts if it reads or writes the deleted key.
-  if (schema.KeyOf(w.old_tuple()) == dk || schema.KeyOf(w.new_tuple()) == dk) {
-    return ConflictPoint{ConflictType::kDeleteVsWrite,
-                         RelKey{d.relation(), dk}};
+  if (a.is_insert() && b.is_insert()) {
+    if (!Same(wa, wb)) return std::nullopt;
+    if (a.new_tuple() == b.new_tuple()) return std::nullopt;  // they agree
+    return ConflictPoint{ConflictType::kInsertInsert, wa->key};
   }
-  return std::nullopt;
-}
-
-std::optional<ConflictPoint> InsertVsInsert(const db::RelationSchema& schema,
-                                            const Update& a, const Update& b) {
-  const db::Tuple ka = schema.KeyOf(a.new_tuple());
-  if (ka != schema.KeyOf(b.new_tuple())) return std::nullopt;
-  if (a.new_tuple() == b.new_tuple()) return std::nullopt;  // they agree
-  return ConflictPoint{ConflictType::kInsertInsert, RelKey{a.relation(), ka}};
-}
-
-std::optional<ConflictPoint> ModifyVsModify(const db::RelationSchema& schema,
-                                            const Update& a, const Update& b) {
-  const db::Tuple src_a = schema.KeyOf(a.old_tuple());
-  const db::Tuple src_b = schema.KeyOf(b.old_tuple());
-  if (src_a == src_b) {
-    // Same source key. Identical replacements agree; anything else is the
-    // paper's replace/replace conflict (including disagreement about the
-    // source tuple's current value).
-    if (a.old_tuple() == b.old_tuple() && a.new_tuple() == b.new_tuple()) {
-      return std::nullopt;
+  if (a.is_modify() && b.is_modify()) {
+    if (Same(ra, rb)) {
+      // Same source key. Identical replacements agree; anything else is
+      // the paper's replace/replace conflict (including disagreement
+      // about the source tuple's current value).
+      if (a.old_tuple() == b.old_tuple() && a.new_tuple() == b.new_tuple()) {
+        return std::nullopt;
+      }
+      return ConflictPoint{ConflictType::kReplaceReplace, ra->key};
     }
-    return ConflictPoint{ConflictType::kReplaceReplace,
-                         RelKey{a.relation(), src_a}};
+    // Different sources converging on one target key can never both
+    // apply.
+    if (Same(wa, wb)) {
+      return ConflictPoint{ConflictType::kKeyCollision, wa->key};
+    }
+    return std::nullopt;
   }
-  // Different sources converging on one target key can never both apply.
-  const db::Tuple dst_a = schema.KeyOf(a.new_tuple());
-  if (dst_a == schema.KeyOf(b.new_tuple())) {
-    return ConflictPoint{ConflictType::kKeyCollision,
-                         RelKey{a.relation(), dst_a}};
-  }
-  return std::nullopt;
-}
-
-std::optional<ConflictPoint> InsertVsModify(const db::RelationSchema& schema,
-                                            const Update& ins,
-                                            const Update& mod) {
   // An insert and a replacement targeting the same key both claim it;
   // even value-identical outcomes cannot both apply (duplicate key).
-  const db::Tuple ki = schema.KeyOf(ins.new_tuple());
-  if (ki == schema.KeyOf(mod.new_tuple())) {
-    return ConflictPoint{ConflictType::kKeyCollision,
-                         RelKey{ins.relation(), ki}};
-  }
+  if (Same(wa, wb)) return ConflictPoint{ConflictType::kKeyCollision, wa->key};
   return std::nullopt;
+}
+
+const HashedRelKey* SlotKey(const KeyedUpdates& set, uint32_t slot) {
+  return slot == KeyedUpdates::kNoKey ? nullptr : &set.keys[slot];
 }
 
 }  // namespace
@@ -95,49 +84,53 @@ std::optional<ConflictPoint> UpdatesConflict(const db::RelationSchema& schema,
                                              const Update& a,
                                              const Update& b) {
   if (a.relation() != b.relation()) return std::nullopt;
-  if (a.is_delete() && b.is_delete()) return std::nullopt;  // they agree
-  if (a.is_delete()) return DeleteVsWrite(schema, a, b);
-  if (b.is_delete()) return DeleteVsWrite(schema, b, a);
-  if (a.is_insert() && b.is_insert()) return InsertVsInsert(schema, a, b);
-  if (a.is_modify() && b.is_modify()) return ModifyVsModify(schema, a, b);
-  if (a.is_insert()) return InsertVsModify(schema, a, b);
-  return InsertVsModify(schema, b, a);
+  const auto ra = HashedRelKey::Of(a, a.ReadKey(schema));
+  const auto wa = HashedRelKey::Of(a, a.WriteKey(schema));
+  const auto rb = HashedRelKey::Of(b, b.ReadKey(schema));
+  const auto wb = HashedRelKey::Of(b, b.WriteKey(schema));
+  return Classify(a, ra ? &*ra : nullptr, wa ? &*wa : nullptr, b,
+                  rb ? &*rb : nullptr, wb ? &*wb : nullptr);
 }
 
-std::vector<ConflictPoint> SetsConflict(const db::Catalog& catalog,
-                                        const std::vector<Update>& a,
-                                        const std::vector<Update>& b) {
+std::vector<ConflictPoint> SetsConflict(const KeyedUpdates& a,
+                                        const KeyedUpdates& b) {
   std::vector<ConflictPoint> out;
-  if (a.empty() || b.empty()) return out;
-  // Bucket b's updates by every key they touch, then probe with a's keys;
-  // conflicting pairs always share a touched key.
-  std::unordered_map<RelKey, std::vector<size_t>, RelKeyHash> buckets;
-  for (size_t i = 0; i < b.size(); ++i) {
-    const db::RelationSchema& schema =
-        *catalog.GetRelation(b[i].relation()).value();
-    for (RelKey& rk : b[i].TouchedKeys(schema)) {
-      buckets[std::move(rk)].push_back(i);
+  size_t ia = 0;
+  size_t ib = 0;
+  while (ia < a.keys.size() && ib < b.keys.size()) {
+    const uint64_t h = a.keys[ia].hash;
+    if (h < b.keys[ib].hash) {
+      ++ia;
+      continue;
     }
-  }
-  std::unordered_set<ConflictPoint, ConflictPointHash> seen;
-  std::unordered_set<uint64_t> tested;  // (i_a << 32 | i_b) pairs
-  for (size_t ia = 0; ia < a.size(); ++ia) {
-    const db::RelationSchema& schema =
-        *catalog.GetRelation(a[ia].relation()).value();
-    for (const RelKey& rk : a[ia].TouchedKeys(schema)) {
-      auto it = buckets.find(rk);
-      if (it == buckets.end()) continue;
-      for (size_t ib : it->second) {
-        if (!tested.insert((static_cast<uint64_t>(ia) << 32) | ib).second) {
-          continue;
-        }
-        if (auto cp = UpdatesConflict(schema, a[ia], b[ib])) {
-          if (seen.insert(*cp).second) out.push_back(*cp);
+    if (b.keys[ib].hash < h) {
+      ++ib;
+      continue;
+    }
+    size_t ea = ia;
+    while (ea < a.keys.size() && a.keys[ea].hash == h) ++ea;
+    size_t eb = ib;
+    while (eb < b.keys.size() && b.keys[eb].hash == h) ++eb;
+    for (size_t x = ia; x < ea; ++x) {
+      for (size_t y = ib; y < eb; ++y) {
+        if (!(a.keys[x].key == b.keys[y].key)) continue;  // hash collision
+        const uint32_t ua = a.keys[x].update;
+        const uint32_t ub = b.keys[y].update;
+        const KeyedUpdates::Slots& sa = a.slots[ua];
+        const KeyedUpdates::Slots& sb = b.slots[ub];
+        if (auto cp = Classify(a.updates[ua], SlotKey(a, sa.read),
+                               SlotKey(a, sa.write), b.updates[ub],
+                               SlotKey(b, sb.read), SlotKey(b, sb.write))) {
+          out.push_back(std::move(*cp));
         }
       }
     }
+    ia = ea;
+    ib = eb;
   }
+  // An update pair sharing two keys is tested (and may report) twice.
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

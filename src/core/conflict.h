@@ -62,13 +62,15 @@ struct ConflictPointHash {
 std::optional<ConflictPoint> UpdatesConflict(
     const db::RelationSchema& schema, const Update& a, const Update& b);
 
-/// Finds every conflict point between two flattened update sets. Used
-/// pairwise on update extensions by FindConflicts (Fig. 5) and on
-/// (extension, own-delta) by CheckState. Cost O(|a| + |b|) expected via
-/// key-hash bucketing.
-std::vector<ConflictPoint> SetsConflict(const db::Catalog& catalog,
-                                        const std::vector<Update>& a,
-                                        const std::vector<Update>& b);
+/// Finds every conflict point between two keyed update sets, sorted and
+/// deduplicated. Used pairwise on flattened update extensions by
+/// FindConflicts (Fig. 5) and on (extension, own delta) by CheckState.
+/// Both key lists are sorted by hash, so one linear merge finds the
+/// shared keys and exactly the update pairs sharing a key are tested
+/// (only such pairs can conflict): O(|a| + |b|) plus the shared pairs,
+/// with no allocation unless a conflict is found.
+std::vector<ConflictPoint> SetsConflict(const KeyedUpdates& a,
+                                        const KeyedUpdates& b);
 
 }  // namespace orchestra::core
 

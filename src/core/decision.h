@@ -21,8 +21,9 @@ enum class Decision {
 std::string_view DecisionName(Decision decision);
 
 /// Set of (relation, key) values with O(1) membership; the dirty-value
-/// set marks keys read or written by deferred transactions (§5).
-using RelKeySet = std::unordered_set<RelKey, RelKeyHash>;
+/// set marks keys read or written by deferred transactions (§5). A
+/// HashedRelKey probes it without re-hashing.
+using RelKeySet = std::unordered_set<RelKey, RelKeyHash, RelKeyEq>;
 
 /// A group of deferred transactions that make the *same* modification to
 /// the contested key value; resolving a conflict group accepts at most

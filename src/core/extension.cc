@@ -1,6 +1,7 @@
 #include "core/extension.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace orchestra::core {
 
@@ -66,11 +67,15 @@ std::vector<TransactionId> ComputeExtensionFromBundle(
 bool Subsumes(const std::vector<TransactionId>& outer,
               const std::vector<TransactionId>& inner) {
   if (inner.size() > outer.size()) return false;
-  TxnIdSet outer_set(outer.begin(), outer.end());
-  for (const TransactionId& id : inner) {
-    if (outer_set.count(id) == 0) return false;
-  }
-  return true;
+  return std::includes(outer.begin(), outer.end(), inner.begin(), inner.end());
+}
+
+std::vector<TransactionId> SharedMembers(const std::vector<TransactionId>& a,
+                                         const std::vector<TransactionId>& b) {
+  std::vector<TransactionId> shared;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(shared));
+  return shared;
 }
 
 std::vector<Update> UpdateFootprint(const TransactionProvider& provider,

@@ -35,9 +35,14 @@ std::vector<TransactionId> ComputeExtensionFromBundle(
     const TransactionMap& bundle, const TransactionId& root);
 
 /// True if `outer` subsumes `inner`: outer's extension is a superset of
-/// inner's (§4.2). Both vectors must be sorted extension results.
+/// inner's (§4.2). Both vectors must be sorted by id (FlatExtension::
+/// members), so the test is one merge.
 bool Subsumes(const std::vector<TransactionId>& outer,
               const std::vector<TransactionId>& inner);
+
+/// The members two id-sorted extensions share, id-sorted.
+std::vector<TransactionId> SharedMembers(const std::vector<TransactionId>& a,
+                                         const std::vector<TransactionId>& b);
 
 /// uf(L): the concatenated update footprint of a transaction list, in
 /// list order (the input must already be sorted by publication order).

@@ -18,23 +18,22 @@ uint64_t FlattenCache::ExtensionFingerprint(
   return fp;
 }
 
-const FlattenCache::FlatEntry* FlattenCache::FindFlat(
-    const TransactionId& root, uint64_t fingerprint) const {
+const FlatExtensionRef* FlattenCache::FindFlat(const TransactionId& root,
+                                                uint64_t fingerprint) const {
   auto it = flat_.find(root);
   if (it == flat_.end() || it->second.fingerprint != fingerprint) {
     ++stats_.flat_misses;
     return nullptr;
   }
   ++stats_.flat_hits;
-  return &it->second;
+  return &it->second.ext;
 }
 
 void FlattenCache::PutFlat(const TransactionId& root, uint64_t fingerprint,
-                           std::vector<Update> up_ex, bool ok) {
+                           FlatExtensionRef ext) {
   FlatEntry& entry = flat_[root];
   entry.fingerprint = fingerprint;
-  entry.up_ex = std::move(up_ex);
-  entry.ok = ok;
+  entry.ext = std::move(ext);
 }
 
 const FlattenCache::PairVerdict* FlattenCache::FindPair(

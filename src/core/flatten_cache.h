@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/conflict.h"
+#include "core/flatten.h"
 #include "core/ids.h"
 #include "core/update.h"
 
@@ -32,12 +33,13 @@ namespace orchestra::core {
 /// thread, outside parallel regions.
 class FlattenCache {
  public:
+  /// The flattening of one root's extension, shared read-only with the
+  /// analyses that use it (a hit copies a pointer, not the updates).
+  /// FlatExtension::ok == false caches the fact that the extension is
+  /// internally inconsistent.
   struct FlatEntry {
     uint64_t fingerprint = 0;
-    std::vector<Update> up_ex;
-    /// Mirrors ReconcileAnalysis::flatten_ok — false caches the fact
-    /// that the extension is internally inconsistent.
-    bool ok = false;
+    FlatExtensionRef ext;
   };
 
   /// Verdict for the ordered root pair (a, b), a < b: the conflict
@@ -65,10 +67,10 @@ class FlattenCache {
 
   /// The cached flattening for `root`, or nullptr when absent or when
   /// the cached entry covers a different extension.
-  const FlatEntry* FindFlat(const TransactionId& root,
-                            uint64_t fingerprint) const;
+  const FlatExtensionRef* FindFlat(const TransactionId& root,
+                                   uint64_t fingerprint) const;
   void PutFlat(const TransactionId& root, uint64_t fingerprint,
-               std::vector<Update> up_ex, bool ok);
+               FlatExtensionRef ext);
 
   /// The cached conflict verdict for the pair (a, b) — callers must pass
   /// a < b — or nullptr when absent or stale.

@@ -585,10 +585,15 @@ Result<ReconcileReport> Participant::ReconcileNetworkCentric(
   if (analysis_valid) {
     // Extend the network-computed analysis with the locally cached
     // deferred backlog: flatten the tail, then find conflicts for pairs
-    // involving at least one reconsidered transaction.
+    // involving at least one reconsidered transaction. The cross-round
+    // cache keeps a still-deferred backlog from being re-flattened and
+    // re-tested every round, as on the client-centric path.
     analysis = std::move(fetch.analysis);
-    FlattenExtensions(*catalog_, txn_cache_, txns, &analysis);
-    FindExtensionConflicts(*catalog_, txn_cache_, txns, fetched, &analysis);
+    AnalysisOptions aopts;
+    aopts.cache = &flatten_cache_;
+    FlattenExtensions(*catalog_, txn_cache_, txns, &analysis, aopts);
+    FindExtensionConflicts(*catalog_, txn_cache_, txns, fetched, &analysis,
+                           aopts);
     analysis_ptr = &analysis;
   }
 

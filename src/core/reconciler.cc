@@ -13,6 +13,7 @@
 #include "common/trace.h"
 #include "core/analysis.h"
 #include "core/apply.h"
+#include "core/conflict.h"
 #include "core/flatten.h"
 
 namespace orchestra::core {
@@ -45,29 +46,31 @@ struct ProvNote {
 
 // CheckState (Fig. 5): the per-transaction decision that can be made
 // before considering conflicts with other relevant transactions.
+// `own_delta` is the round's own delta, keyed once for all transactions.
 // `note`, when non-null, receives the cause and its evidence.
-Decision CheckState(const db::Catalog& catalog, const db::Instance& instance,
-                    const ReconcileInput& input, const TrustedTxn& txn,
-                    const std::vector<Update>& up_ex, ProvNote* note) {
+Decision CheckState(const db::Instance& instance, const ReconcileInput& input,
+                    const TrustedTxn& txn, const FlatExtension& up_ex,
+                    const KeyedUpdates& own_delta, ProvNote* note) {
   const std::vector<TransactionId>& extension = txn.extension;
   // Line 1: anything touching a dirty value is deferred so that a
   // previously deferred transaction can still be accepted later.
   // Reconsidered (previously deferred) transactions skip this check —
-  // their own marks are the dirty values.
+  // their own marks are the dirty values. Keys are probed in update
+  // order, so the reported key is the first one touched.
   if (!txn.previously_deferred && input.dirty != nullptr &&
       !input.dirty->empty()) {
-    for (const Update& u : up_ex) {
-      const db::RelationSchema& schema =
-          *catalog.GetRelation(u.relation()).value();
-      for (const RelKey& rk : u.TouchedKeys(schema)) {
-        if (input.dirty->count(rk) != 0) {
-          if (note != nullptr) {
-            note->cause = ProvenanceCause::kDirtyValue;
-            note->dirty_key = rk;
-          }
-          return Decision::kDefer;
-        }
+    const KeyedUpdates::Key* dirty = nullptr;
+    for (size_t u = 0; u < up_ex.updates.size() && dirty == nullptr; ++u) {
+      up_ex.ForEachTouched(u, [&](const KeyedUpdates::Key& k) {
+        if (dirty == nullptr && input.dirty->count(k) != 0) dirty = &k;
+      });
+    }
+    if (dirty != nullptr) {
+      if (note != nullptr) {
+        note->cause = ProvenanceCause::kDirtyValue;
+        note->dirty_key = dirty->key;
       }
+      return Decision::kDefer;
     }
   }
   // Line 3: an extension containing an explicitly rejected transaction
@@ -85,7 +88,7 @@ Decision CheckState(const db::Catalog& catalog, const db::Instance& instance,
   }
   // Line 5: the flattened extension must be applicable to the instance
   // without violating integrity constraints.
-  if (Status applicable = CheckApplicable(instance, up_ex);
+  if (Status applicable = CheckApplicable(instance, up_ex.updates);
       !applicable.ok()) {
     if (note != nullptr) {
       note->cause = ProvenanceCause::kNotApplicable;
@@ -95,9 +98,8 @@ Decision CheckState(const db::Catalog& catalog, const db::Instance& instance,
   }
   // Line 7: conflicts with the participant's own delta for this
   // reconciliation lose outright — a peer always keeps its own version.
-  if (!input.own_delta.empty()) {
-    std::vector<ConflictPoint> own_points =
-        SetsConflict(catalog, up_ex, input.own_delta);
+  if (!own_delta.updates.empty()) {
+    std::vector<ConflictPoint> own_points = SetsConflict(up_ex, own_delta);
     if (!own_points.empty()) {
       if (note != nullptr) {
         note->cause = ProvenanceCause::kOwnDeltaConflict;
@@ -127,18 +129,16 @@ std::string UpdateEffect(const Update& u) {
 
 // Normalized rendering of the modification a flattened extension makes to
 // one contested key; transactions with equal effects form one option.
-std::string EffectOnKey(const db::Catalog& catalog,
-                        const std::vector<Update>& up_ex,
-                        const RelKey& key) {
+std::string EffectOnKey(const KeyedUpdates& up_ex, const HashedRelKey& key) {
   std::vector<std::string> parts;
-  for (const Update& u : up_ex) {
-    const db::RelationSchema& schema =
-        *catalog.GetRelation(u.relation()).value();
-    for (const RelKey& rk : u.TouchedKeys(schema)) {
-      if (rk == key) {
-        parts.push_back(UpdateEffect(u));
-        break;
-      }
+  auto it = std::lower_bound(
+      up_ex.keys.begin(), up_ex.keys.end(), key.hash,
+      [](const KeyedUpdates::Key& k, uint64_t h) { return k.hash < h; });
+  for (; it != up_ex.keys.end() && it->hash == key.hash; ++it) {
+    // An update's read and write keys differ when both are listed, so
+    // each update contributes at most once.
+    if (it->key == key.key) {
+      parts.push_back(UpdateEffect(up_ex.updates[it->update]));
     }
   }
   std::sort(parts.begin(), parts.end());
@@ -183,9 +183,9 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
         AnalyzeExtensions(*catalog_, *input.provider, input.txns, aopts);
     analysis = &local_analysis;
   }
-  ORCH_CHECK(analysis->up_ex.size() == n && analysis->flatten_ok.size() == n,
+  ORCH_CHECK(analysis->up_ex.size() == n,
              "analysis does not cover the input transactions");
-  const std::vector<std::vector<Update>>& up_ex = analysis->up_ex;
+  const std::vector<FlatExtensionRef>& up_ex = analysis->up_ex;
 
   static Counter& analyzed_txns =
       MetricsRegistry::Global().GetCounter("reconcile.analyzed_txns");
@@ -200,16 +200,17 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   // parallelizes with bit-identical results.
   phase_span.emplace("reconcile.phase.check_state");
   sim_span.emplace(sim, "reconcile.check_state");
+  const KeyedUpdates own_delta = KeyUpdates(*catalog_, input.own_delta);
   std::vector<Decision> decision(n, Decision::kUndecided);
   ParallelFor(pool_.get(), n, [&](size_t i) {
-    if (!analysis->flatten_ok[i]) {
+    if (!up_ex[i]->ok) {
       // An internally inconsistent extension can never be applied.
       decision[i] = Decision::kReject;
       if (prov_on) notes[i].cause = ProvenanceCause::kFlattenInconsistent;
       return;
     }
-    decision[i] = CheckState(*catalog_, *instance, input, input.txns[i],
-                             up_ex[i], note_of(i));
+    decision[i] = CheckState(*instance, input, input.txns[i], *up_ex[i],
+                             own_delta, note_of(i));
   });
 
   std::vector<std::vector<size_t>> conflicts(n);
@@ -342,17 +343,29 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   });
   TxnIdSet used;
   for (size_t i : accepted) {
-    std::vector<Update> footprint =
-        UpdateFootprint(*input.provider, input.txns[i].extension, used);
-    auto flat = Flatten(*catalog_, footprint);
-    Status applied_status =
-        flat.ok() ? ApplyFlattened(instance, *flat) : flat.status();
+    const std::vector<TransactionId>& extension = input.txns[i].extension;
+    // With no member applied yet this round the footprint is the whole
+    // extension, whose flattening the analysis already holds.
+    const bool fresh =
+        std::none_of(extension.begin(), extension.end(),
+                     [&](const TransactionId& id) { return used.count(id); });
+    std::vector<Update> footprint;
+    Status applied_status;
+    if (fresh) {
+      applied_status = ApplyFlattened(instance, up_ex[i]->updates);
+    } else {
+      footprint = UpdateFootprint(*input.provider, extension, used);
+      auto flat = Flatten(*catalog_, footprint);
+      applied_status =
+          flat.ok() ? ApplyFlattened(instance, *flat) : flat.status();
+    }
     if (!applied_status.ok()) {
       // The flattened form can be stale when an extension member's
       // effect already reached the instance through a *different but
       // identical* accepted transaction (agreement is detected pairwise,
       // not across chains). Replaying the footprint step by step with
       // idempotent application absorbs the already-achieved prefix.
+      if (fresh) footprint = UpdateFootprint(*input.provider, extension, used);
       applied_status = Status::OK();
       for (const Update& u : footprint) {
         applied_status = ApplyFlattened(instance, {u});
@@ -373,7 +386,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
       decision[i] = Decision::kReject;
       continue;
     }
-    for (const TransactionId& id : input.txns[i].extension) used.insert(id);
+    for (const TransactionId& id : extension) used.insert(id);
   }
   // ORCH_LINT(allow:D3): the assigned vector is sorted on the next line; hash order never escapes
   outcome.applied_txns.assign(used.begin(), used.end());
@@ -455,12 +468,11 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
         break;
       case Decision::kDefer: {
         outcome.deferred_roots.push_back(input.txns[i].id);
-        for (const Update& u : up_ex[i]) {
-          const db::RelationSchema& schema =
-              *catalog_->GetRelation(u.relation()).value();
-          for (RelKey& rk : u.TouchedKeys(schema)) {
-            outcome.dirty_values.insert(std::move(rk));
-          }
+        const KeyedUpdates& ext = *up_ex[i];
+        for (size_t u = 0; u < ext.updates.size(); ++u) {
+          ext.ForEachTouched(u, [&](const KeyedUpdates::Key& k) {
+            outcome.dirty_values.insert(k.key);
+          });
         }
         break;
       }
@@ -495,10 +507,9 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
       size_t best = idx;
       for (size_t j : members) {
         if (j == idx) continue;
-        const auto& ext_j = input.txns[j].extension;
-        const auto& ext_best = input.txns[best].extension;
-        if (ext_j.size() > ext_best.size() &&
-            Subsumes(ext_j, input.txns[idx].extension)) {
+        const auto& ext_j = up_ex[j]->members;
+        if (ext_j.size() > up_ex[best]->members.size() &&
+            Subsumes(ext_j, up_ex[idx]->members)) {
           best = j;
         }
       }
@@ -506,11 +517,12 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
     };
     // Compatible transactions (same modification to the contested key)
     // combine into one option.
+    const HashedRelKey contested =
+        HashedRelKey::Of(point.key.relation, point.key.key);
     std::map<std::string, size_t> option_of_effect;
     for (size_t idx : members) {
       const size_t representative = covering(idx);
-      const std::string effect =
-          EffectOnKey(*catalog_, up_ex[representative], point.key);
+      const std::string effect = EffectOnKey(*up_ex[representative], contested);
       auto [it, inserted] =
           option_of_effect.emplace(effect, group.options.size());
       if (inserted) {

@@ -1,5 +1,8 @@
 #include "core/update.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "common/check.h"
 #include "db/serde.h"
 
@@ -57,6 +60,62 @@ std::vector<RelKey> Update::TouchedKeys(
     RelKey rk{relation_, std::move(*write)};
     if (out.empty() || !(out.front() == rk)) out.push_back(std::move(rk));
   }
+  return out;
+}
+
+HashedRelKey HashedRelKey::Of(std::string relation, db::Tuple key) {
+  HashedRelKey hk;
+  hk.key = RelKey{std::move(relation), std::move(key)};
+  hk.hash = RelKeyHash()(hk.key);
+  return hk;
+}
+
+std::optional<HashedRelKey> HashedRelKey::Of(const Update& update,
+                                             std::optional<db::Tuple> key) {
+  if (!key) return std::nullopt;
+  return Of(update.relation(), std::move(*key));
+}
+
+void KeyedUpdates::Append(Update update, std::optional<HashedRelKey> read,
+                          std::optional<HashedRelKey> write) {
+  const auto index = static_cast<uint32_t>(updates.size());
+  if (read && write && *read == *write) {
+    keys.push_back(Key{std::move(*read), index, kRead | kWrite});
+  } else {
+    if (read) keys.push_back(Key{std::move(*read), index, kRead});
+    if (write) keys.push_back(Key{std::move(*write), index, kWrite});
+  }
+  updates.push_back(std::move(update));
+  slots.emplace_back();
+}
+
+void KeyedUpdates::Seal() {
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.hash != b.hash) return a.hash < b.hash;
+    if (a.update != b.update) return a.update < b.update;
+    return a.role < b.role;
+  });
+  for (uint32_t k = 0; k < keys.size(); ++k) {
+    Slots& s = slots[keys[k].update];
+    if (keys[k].role & kRead) s.read = k;
+    if (keys[k].role & kWrite) s.write = k;
+  }
+}
+
+KeyedUpdates KeyUpdates(const db::Catalog& catalog,
+                        std::vector<Update> updates) {
+  KeyedUpdates out;
+  out.updates.reserve(updates.size());
+  out.slots.reserve(updates.size());
+  for (Update& u : updates) {
+    const db::RelationSchema& schema =
+        *catalog.GetRelation(u.relation()).value();
+    std::optional<HashedRelKey> read = HashedRelKey::Of(u, u.ReadKey(schema));
+    std::optional<HashedRelKey> write =
+        HashedRelKey::Of(u, u.WriteKey(schema));
+    out.Append(std::move(u), std::move(read), std::move(write));
+  }
+  out.Seal();
   return out;
 }
 

@@ -1,6 +1,8 @@
 #ifndef ORCHESTRA_CORE_UPDATE_H_
 #define ORCHESTRA_CORE_UPDATE_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +23,7 @@ enum class UpdateKind {
 std::string_view UpdateKindName(UpdateKind kind);
 
 /// A (relation, key) pair identifying the logical tuple an update touches.
-/// Used for conflict bucketing and the dirty-value set.
+/// Used for conflict tests and the dirty-value set.
 struct RelKey {
   std::string relation;
   db::Tuple key;
@@ -37,10 +39,45 @@ struct RelKey {
   }
 };
 
+class Update;
+
+/// A RelKey with its RelKeyHash computed once, so that hash lookups,
+/// sorted merges and equality tests on it never re-hash or re-project.
+struct HashedRelKey {
+  uint64_t hash = 0;
+  RelKey key;
+
+  static HashedRelKey Of(std::string relation, db::Tuple key);
+  /// Keys `update`'s ReadKey or WriteKey result (nullopt stays nullopt).
+  static std::optional<HashedRelKey> Of(const Update& update,
+                                        std::optional<db::Tuple> key);
+
+  friend bool operator==(const HashedRelKey& a, const HashedRelKey& b) {
+    return a.hash == b.hash && a.key == b.key;
+  }
+};
+
+/// Transparent: a HashedRelKey probes RelKey-keyed containers with its
+/// stored hash (pair with RelKeyEq for heterogeneous lookup).
 struct RelKeyHash {
+  using is_transparent = void;
   size_t operator()(const RelKey& rk) const {
     return static_cast<size_t>(
         HashCombine(Fnv1a64(rk.relation), rk.key.Hash()));
+  }
+  size_t operator()(const HashedRelKey& hk) const {
+    return static_cast<size_t>(hk.hash);
+  }
+};
+
+struct RelKeyEq {
+  using is_transparent = void;
+  bool operator()(const RelKey& a, const RelKey& b) const { return a == b; }
+  bool operator()(const RelKey& a, const HashedRelKey& b) const {
+    return a == b.key;
+  }
+  bool operator()(const HashedRelKey& a, const RelKey& b) const {
+    return a.key == b;
   }
 };
 
@@ -109,6 +146,51 @@ class Update {
   db::Tuple new_tuple_;
   ParticipantId origin_;
 };
+
+/// An update set plus every (relation, key) its updates touch, each
+/// projected and hashed once. `keys` is sorted by (hash, update index) so
+/// two sets meet in a linear merge; `slots` maps each update back to its
+/// read and write key. Built by the flattener from the keys it already
+/// holds (FlattenKeyed) or anew by KeyUpdates.
+struct KeyedUpdates {
+  static constexpr uint8_t kRead = 1;
+  static constexpr uint8_t kWrite = 2;
+  struct Key : HashedRelKey {
+    uint32_t update = 0;  // index into `updates`
+    uint8_t role = 0;     // kRead | kWrite
+  };
+  static constexpr uint32_t kNoKey = UINT32_MAX;
+  /// Indices into `keys`; kNoKey when the update has no such key. A
+  /// modify that keeps its key has read == write.
+  struct Slots {
+    uint32_t read = kNoKey;
+    uint32_t write = kNoKey;
+  };
+
+  std::vector<Update> updates;
+  std::vector<Key> keys;
+  std::vector<Slots> slots;  // parallel to `updates`
+
+  /// Appends an update with its read and/or write key (nullopt when the
+  /// update kind has none). Call Seal() after the last Append.
+  void Append(Update update, std::optional<HashedRelKey> read,
+              std::optional<HashedRelKey> write);
+  /// Sorts `keys` by (hash, update) and points `slots` at them.
+  void Seal();
+
+  /// Calls f(const Key&) for each key update `u` touches, in
+  /// Update::TouchedKeys order (read key first, each key once).
+  template <typename F>
+  void ForEachTouched(size_t u, F&& f) const {
+    const Slots& s = slots[u];
+    if (s.read != kNoKey) f(keys[s.read]);
+    if (s.write != kNoKey && s.write != s.read) f(keys[s.write]);
+  }
+};
+
+/// Keys an arbitrary update set (one projection and hash per key).
+KeyedUpdates KeyUpdates(const db::Catalog& catalog,
+                        std::vector<Update> updates);
 
 /// Binary (de)serialization, used for durability and for the simulated
 /// network's message-size accounting.

@@ -692,11 +692,9 @@ Result<core::NetworkCentricFetch> CentralStore::BeginNetworkCentricReconciliatio
   // The analysis rides in the reply: flattened updates plus one fixed
   // record per conflicting pair.
   int64_t bytes = 0;
-  for (const auto& up_ex : fetch.analysis.up_ex) {
-    for (const core::Update& u : up_ex) {
-      std::string buf;
-      core::EncodeUpdate(&buf, u);
-      bytes += static_cast<int64_t>(buf.size());
+  for (const core::FlatExtensionRef& flat : fetch.analysis.up_ex) {
+    for (const core::Update& u : flat->updates) {
+      bytes += static_cast<int64_t>(core::EncodedUpdateSize(u));
     }
   }
   bytes += static_cast<int64_t>(fetch.analysis.conflicts.size()) * 48;

@@ -1125,14 +1125,13 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
   // pair is reported to the reconciling peer.
   for (size_t i = 0; i < fetch.analysis.up_ex.size(); ++i) {
     const size_t controller = TxnControllerNode(fetch.trusted_txns[i].id);
-    for (const core::Update& u : fetch.analysis.up_ex[i]) {
-      const db::RelationSchema& schema =
-          *catalog_->GetRelation(u.relation()).value();
-      for (const core::RelKey& rk : u.TouchedKeys(schema)) {
+    const core::KeyedUpdates& flat = *fetch.analysis.up_ex[i];
+    for (size_t u = 0; u < flat.updates.size(); ++u) {
+      flat.ForEachTouched(u, [&](const core::KeyedUpdates::Key& rk) {
         const auto route =
-            ring_.Route(controller, net::KeyHash(rk.ToString()));
+            ring_.Route(controller, net::KeyHash(rk.key.ToString()));
         network_->Charge(peer, route.hops > 0 ? route.hops : 1, 48);
-      }
+      });
     }
   }
   for (const auto& pair : fetch.analysis.conflicts) {
@@ -1144,11 +1143,9 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
   }
   // Ship the extensions and analysis to the peer in one bulk message.
   int64_t bytes = 0;
-  for (const auto& up_ex : fetch.analysis.up_ex) {
-    for (const core::Update& u : up_ex) {
-      std::string buf;
-      core::EncodeUpdate(&buf, u);
-      bytes += static_cast<int64_t>(buf.size());
+  for (const core::FlatExtensionRef& flat : fetch.analysis.up_ex) {
+    for (const core::Update& u : flat->updates) {
+      bytes += static_cast<int64_t>(core::EncodedUpdateSize(u));
     }
   }
   bytes += static_cast<int64_t>(fetch.analysis.conflicts.size()) * 48;

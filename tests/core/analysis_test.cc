@@ -38,9 +38,10 @@ TEST_F(AnalysisTest, FlattenExtensionsMarksValidity) {
   ReconcileAnalysis analysis;
   FlattenExtensions(catalog_, map_, txns, &analysis);
   ASSERT_EQ(analysis.up_ex.size(), 2u);
-  EXPECT_TRUE(analysis.flatten_ok[0]);
-  EXPECT_EQ(analysis.up_ex[0].size(), 1u);
-  EXPECT_FALSE(analysis.flatten_ok[1]);  // double insert of one key
+  EXPECT_TRUE(analysis.up_ex[0]->ok);
+  EXPECT_EQ(analysis.up_ex[0]->updates.size(), 1u);
+  EXPECT_FALSE(analysis.up_ex[1]->ok);  // double insert of one key
+  EXPECT_TRUE(analysis.up_ex[1]->updates.empty());
 }
 
 TEST_F(AnalysisTest, FlattenExtensionsAppendsOnlyTail) {
@@ -50,11 +51,12 @@ TEST_F(AnalysisTest, FlattenExtensionsAppendsOnlyTail) {
   ReconcileAnalysis analysis;
   FlattenExtensions(catalog_, map_, txns, &analysis);
   // Poison the head entry; a second call must not touch it.
-  analysis.up_ex[0].clear();
+  const auto poison = std::make_shared<FlatExtension>();
+  analysis.up_ex[0] = poison;
   txns.push_back(Trusted({2, 0}));
   FlattenExtensions(catalog_, map_, txns, &analysis);
-  EXPECT_TRUE(analysis.up_ex[0].empty());
-  EXPECT_EQ(analysis.up_ex[1].size(), 1u);
+  EXPECT_EQ(analysis.up_ex[0], poison);
+  EXPECT_EQ(analysis.up_ex[1]->updates.size(), 1u);
 }
 
 TEST_F(AnalysisTest, AnalyzeFindsConflictPairs) {

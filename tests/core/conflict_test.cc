@@ -142,22 +142,25 @@ TEST_F(ConflictTest, SetsConflictFindsAllPoints) {
   const std::vector<Update> b = {Ins("rat", "p1", "z", 2),   // conflict
                                  Ins("mouse", "p2", "y", 2),  // agree
                                  Mod("rat", "p3", "a", "c", 2)};  // conflict
-  auto points = SetsConflict(catalog_, a, b);
+  auto points = SetsConflict(KeyUpdates(catalog_, a), KeyUpdates(catalog_, b));
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].type, ConflictType::kInsertInsert);
   EXPECT_EQ(points[1].type, ConflictType::kReplaceReplace);
 }
 
 TEST_F(ConflictTest, SetsConflictEmptyInputs) {
-  EXPECT_TRUE(SetsConflict(catalog_, {}, {Ins("rat", "p1", "x", 1)}).empty());
-  EXPECT_TRUE(SetsConflict(catalog_, {Ins("rat", "p1", "x", 1)}, {}).empty());
+  const KeyedUpdates one = KeyUpdates(catalog_, {Ins("rat", "p1", "x", 1)});
+  EXPECT_TRUE(SetsConflict(KeyedUpdates{}, one).empty());
+  EXPECT_TRUE(SetsConflict(one, KeyedUpdates{}).empty());
 }
 
 TEST_F(ConflictTest, SetsConflictDeduplicatesPoints) {
   // Two updates in `a` touching the same contested key yield one point.
   const std::vector<Update> a = {Del("rat", "p1", "x", 1)};
   const std::vector<Update> b = {Ins("rat", "p1", "y", 2)};
-  EXPECT_EQ(SetsConflict(catalog_, a, b).size(), 1u);
+  EXPECT_EQ(
+      SetsConflict(KeyUpdates(catalog_, a), KeyUpdates(catalog_, b)).size(),
+      1u);
 }
 
 TEST_F(ConflictTest, ConflictPointOrderingAndNames) {

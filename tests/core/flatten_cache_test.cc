@@ -28,10 +28,13 @@ TEST(FlattenCacheTest, FingerprintIsOrderAndContentSensitive) {
 TEST(FlattenCacheTest, FlatEntryHitRequiresMatchingFingerprint) {
   FlattenCache cache;
   const TransactionId root{1, 0};
-  cache.PutFlat(root, 42, {Ins("rat", "p1", "x", 1)}, true);
-  const FlattenCache::FlatEntry* hit = cache.FindFlat(root, 42);
+  auto ext = std::make_shared<FlatExtension>();
+  ext->ok = true;
+  cache.PutFlat(root, 42, ext);
+  const FlatExtensionRef* hit = cache.FindFlat(root, 42);
   ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(hit->ok);
+  EXPECT_TRUE((*hit)->ok);
+  EXPECT_EQ(hit->get(), ext.get());  // shared, not copied
   // A reconsidered transaction whose extension changed (e.g. an
   // antecedent was applied since) carries a new fingerprint — miss.
   EXPECT_EQ(cache.FindFlat(root, 43), nullptr);
@@ -58,9 +61,10 @@ TEST(FlattenCacheTest, PairVerdictValidatedAgainstBothSides) {
 TEST(FlattenCacheTest, InvalidateDropsEveryEntryMentioningRoot) {
   FlattenCache cache;
   const TransactionId a{1, 0}, b{2, 0}, c{3, 0};
-  cache.PutFlat(a, 1, {}, true);
-  cache.PutFlat(b, 2, {}, true);
-  cache.PutFlat(c, 3, {}, true);
+  const auto ext = std::make_shared<FlatExtension>();
+  cache.PutFlat(a, 1, ext);
+  cache.PutFlat(b, 2, ext);
+  cache.PutFlat(c, 3, ext);
   cache.PutPair(a, b, {});
   cache.PutPair(b, c, {});
   cache.PutPair(a, c, {});
@@ -115,7 +119,13 @@ TEST_F(CachedAnalysisTest, WarmRoundHitsAndMatchesColdRound) {
   EXPECT_EQ(warm.conflicts[0].i, fresh.conflicts[0].i);
   EXPECT_EQ(warm.conflicts[0].j, fresh.conflicts[0].j);
   EXPECT_EQ(warm.conflicts[0].points, fresh.conflicts[0].points);
-  EXPECT_EQ(warm.up_ex, fresh.up_ex);
+  ASSERT_EQ(warm.up_ex.size(), fresh.up_ex.size());
+  for (size_t i = 0; i < warm.up_ex.size(); ++i) {
+    EXPECT_EQ(warm.up_ex[i], cold.up_ex[i]);  // a hit shares the entry
+    EXPECT_EQ(warm.up_ex[i]->ok, fresh.up_ex[i]->ok);
+    EXPECT_EQ(warm.up_ex[i]->updates, fresh.up_ex[i]->updates);
+    EXPECT_EQ(warm.up_ex[i]->members, fresh.up_ex[i]->members);
+  }
 }
 
 TEST_F(CachedAnalysisTest, ChangedExtensionInvalidatesNaturally) {
@@ -130,10 +140,10 @@ TEST_F(CachedAnalysisTest, ChangedExtensionInvalidatesNaturally) {
   std::vector<TrustedTxn> txns{Trusted({1, 1})};
   ASSERT_EQ(txns[0].extension.size(), 2u);
   ReconcileAnalysis before = AnalyzeExtensions(catalog_, map_, txns, cached);
-  ASSERT_TRUE(before.flatten_ok[0]);
+  ASSERT_TRUE(before.up_ex[0]->ok);
   // Full extension flattens to the net insert of v1.
-  ASSERT_EQ(before.up_ex[0].size(), 1u);
-  EXPECT_TRUE(before.up_ex[0][0].is_insert());
+  ASSERT_EQ(before.up_ex[0]->updates.size(), 1u);
+  EXPECT_TRUE(before.up_ex[0]->updates[0].is_insert());
 
   applied_.insert({1, 0});
   std::vector<TrustedTxn> shrunk{Trusted({1, 1})};
@@ -141,10 +151,10 @@ TEST_F(CachedAnalysisTest, ChangedExtensionInvalidatesNaturally) {
   cache.ResetStats();
   ReconcileAnalysis after = AnalyzeExtensions(catalog_, map_, shrunk, cached);
   EXPECT_EQ(cache.stats().flat_hits, 0u);  // fingerprint mismatch
-  ASSERT_TRUE(after.flatten_ok[0]);
+  ASSERT_TRUE(after.up_ex[0]->ok);
   // Now only the root's own modify remains.
-  ASSERT_EQ(after.up_ex[0].size(), 1u);
-  EXPECT_TRUE(after.up_ex[0][0].is_modify());
+  ASSERT_EQ(after.up_ex[0]->updates.size(), 1u);
+  EXPECT_TRUE(after.up_ex[0]->updates[0].is_modify());
 }
 
 }  // namespace
