@@ -985,14 +985,12 @@ bool RunDeltaSweep() {
       MetricsRegistry::Global().CounterValues();
 
   const core::FetchMode kModes[] = {core::FetchMode::kFull,
-                                    core::FetchMode::kWindowed,
                                     core::FetchMode::kDelta};
   std::vector<DeltaRow> rows;
   bool all_ok = true;
   double central_speedup = 0, dht_speedup = 0, dht_msg_reduction = 0;
 
   for (sim::StoreKind kind : {sim::StoreKind::kCentral, sim::StoreKind::kDht}) {
-    DeltaRow full, delta;
     std::vector<DeltaRow> store_rows;
     for (core::FetchMode mode : kModes) {
       DeltaRow row = RunDeltaLeg(kind, mode);
@@ -1032,7 +1030,7 @@ bool RunDeltaSweep() {
     // network messages, whose latency the harness charges to the
     // simulated clock (common/clock.h), so its round latency is local
     // wall plus simulated store time.
-    const DeltaRow& d = store_rows[2];  // kDelta
+    const DeltaRow& d = store_rows[1];  // kDelta
     if (kind == sim::StoreKind::kCentral) {
       central_speedup =
           d.steady_wall_us > 0 ? baseline.steady_wall_us / d.steady_wall_us : 0;

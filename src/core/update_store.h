@@ -50,23 +50,21 @@ struct StoreStats {
   }
 };
 
-/// How a store assembles each reconciliation's fetch.
+/// How a store assembles each reconciliation's fetch. Both modes ship
+/// what the §5.2 walk (store/relevance.h) selects; only the cost differs.
 enum class FetchMode {
   /// Re-scan and re-filter the entire published history every round
-  /// (ignores the peer's epoch watermark for the scan window). The
-  /// honest full-fetch baseline: correct — the participant's catch-up
-  /// machinery absorbs re-sent material — but its per-round cost grows
-  /// with history.
+  /// (ignores the peer's epoch watermark for the scan window), one store
+  /// access / DHT message per key. The paper's full-fetch baseline:
+  /// correct — the participant's catch-up machinery absorbs re-sent
+  /// material — but its per-round cost grows with history.
   kFull,
-  /// The watermark-windowed fetch: scan only epochs in (prev, stable],
-  /// one store access / DHT message per key. No caching, no batching.
-  kWindowed,
-  /// kWindowed plus the incremental pipeline: a shared decoded-
-  /// transaction arena (decode each committed transaction once across
-  /// all peers and rounds), per-peer applied-set suppression of lookups
-  /// whose answer must be "not relevant", and — on the DHT — per-owner
-  /// batched multi-get messages instead of one message per key. Fetch
-  /// contents are bit-identical to kWindowed by construction.
+  /// The incremental pipeline: scan only epochs in (prev, stable], with
+  /// a shared decoded-transaction arena (decode each committed
+  /// transaction once across all peers and rounds), per-peer applied-set
+  /// suppression of lookups whose answer must be "not relevant", and —
+  /// on the DHT — per-owner batched multi-get messages instead of one
+  /// message per key.
   kDelta,
 };
 
@@ -74,16 +72,14 @@ inline std::string_view FetchModeName(FetchMode mode) {
   switch (mode) {
     case FetchMode::kFull:
       return "full";
-    case FetchMode::kWindowed:
-      return "windowed";
     case FetchMode::kDelta:
       return "delta";
   }
   return "unknown";
 }
 
-/// Per-fetch accounting for the incremental pipeline (all zero under
-/// kFull/kWindowed except `decoded`).
+/// Per-fetch accounting for the incremental pipeline (under kFull only
+/// `decoded` and the integrity fields move).
 struct FetchStats {
   int64_t decoded = 0;              // transactions decoded this fetch
   int64_t cache_hits = 0;           // decodes avoided via the arena

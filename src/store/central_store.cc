@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 
 #include "common/clock.h"
 #include "common/metrics.h"
@@ -139,15 +138,91 @@ Result<Transaction> CentralStore::LoadTxnCached(const TransactionId& id) const {
   return txn;
 }
 
-bool CentralStore::HasDecision(ParticipantId peer,
-                               const TransactionId& id) const {
-  return engine_->Contains("dec:" + std::to_string(peer), TxnKey(id));
+Result<RelevantClosure> CentralStore::WalkWindow(ParticipantId peer,
+                                                 Epoch after, Epoch through,
+                                                 bool fetch,
+                                                 int64_t* decoded) const {
+  const bool delta = fetch && options_.fetch_mode == core::FetchMode::kDelta;
+  // The window: everything published in (after, through] whose epoch
+  // committed. Rows under open/aborted epochs are residue of unfinished
+  // publishes and must stay invisible. Under kDelta each transaction is
+  // decoded at most once across all peers and rounds: an arena hit skips
+  // the engine read and the decode.
+  std::unordered_map<std::string, bool> committed;  // by epoch key
+  std::vector<Transaction> window;
+  std::vector<TransactionId> ids;
+  for (const auto& [key, unused] :
+       engine_->ScanRange("epoch_txns", EpochKey(after + 1),
+                          EpochKey(through + 1))) {
+    (void)unused;
+    const size_t sep = key.find(':');
+    const std::string epoch_key = key.substr(0, sep);
+    auto [it, fresh] = committed.try_emplace(epoch_key, false);
+    if (fresh) it->second = EpochCommitted(epoch_key);
+    if (!it->second) continue;
+    const std::string txn_key = key.substr(sep + 1);
+    const Transaction* hit =
+        delta ? cache_.Lookup(ParseTxnKey(txn_key)) : nullptr;
+    if (hit != nullptr) {
+      window.push_back(*hit);
+    } else {
+      ORCH_ASSIGN_OR_RETURN(std::string blob, ReadTxnBlob(txn_key));
+      size_t pos = 0;
+      ORCH_ASSIGN_OR_RETURN(Transaction txn,
+                            core::DecodeTransaction(blob, &pos));
+      if (decoded != nullptr) ++*decoded;
+      // The scan established the epoch committed, so the decoded
+      // transaction is immutable and admissible.
+      if (delta) cache_.Admit(txn);
+      window.push_back(std::move(txn));
+    }
+    ids.push_back(window.back().id);
+  }
+
+  // Verdicts come from the peer's decision rows. A known-applied hit
+  // suppresses the lookup whose answer must be "applied": the overlay
+  // only ever holds durably recorded accepts.
+  const std::string dec_table = "dec:" + std::to_string(peer);
+  const KnownVerdictFn known =
+      [&](const TransactionId& id) -> std::optional<Verdict> {
+    if (delta && cache_.KnownApplied(peer, id)) return Verdict::kApplied;
+    return std::nullopt;
+  };
+  const LookupLevelFn lookup =
+      [&](const std::vector<LevelEntry>& level, const DecideFn& decide,
+          std::vector<Transaction>* shipped) -> Status {
+    for (size_t i = 0; i < level.size(); ++i) {
+      const LevelEntry& entry = level[i];
+      auto recorded = engine_->Get(dec_table, TxnKey(entry.id));
+      const Verdict verdict = !recorded.ok()       ? Verdict::kUndecided
+                              : *recorded == "A" ? Verdict::kApplied
+                                                 : Verdict::kRejected;
+      if (entry.root) {
+        Transaction& root = window[entry.root_index];
+        if (decide(i, verdict, &root)) shipped->push_back(std::move(root));
+      } else if (decide(i, verdict, nullptr)) {
+        ORCH_ASSIGN_OR_RETURN(Transaction txn, fetch ? LoadTxnCached(entry.id)
+                                                     : LoadTxn(entry.id));
+        shipped->push_back(std::move(txn));
+      }
+    }
+    return Status::OK();
+  };
+  return WalkRelevantClosure(*policies_.at(peer), ids, known, lookup);
 }
 
-bool CentralStore::IsApplied(ParticipantId peer,
-                             const TransactionId& id) const {
-  auto value = engine_->Get("dec:" + std::to_string(peer), TxnKey(id));
-  return value.ok() && *value == "A";
+Status CentralStore::FetchUndecidedBacklog(ParticipantId peer,
+                                           core::RecoveryBundle* bundle,
+                                           int64_t* bytes) const {
+  ORCH_ASSIGN_OR_RETURN(
+      RelevantClosure backlog,
+      WalkWindow(peer, 0, bundle->epoch, /*fetch=*/false, nullptr));
+  for (const Transaction& txn : backlog.transactions) {
+    *bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
+  }
+  bundle->undecided = std::move(backlog.roots);
+  bundle->closure = std::move(backlog.transactions);
+  return Status::OK();
 }
 
 bool CentralStore::EpochCommitted(const std::string& epoch_key) const {
@@ -276,12 +351,10 @@ Result<Epoch> CentralStore::Publish(ParticipantId peer,
 Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
   TraceSpan span("central.fetch");
   Stopwatch cpu;
-  auto policy_it = policies_.find(peer);
-  if (policy_it == policies_.end()) {
+  if (policies_.count(peer) == 0) {
     return Status::NotFound("peer " + std::to_string(peer) +
                             " is not registered");
   }
-  const core::TrustPolicy& policy = *policy_it->second;
   const bool delta = options_.fetch_mode == core::FetchMode::kDelta;
   const core::FetchCache::Stats cache_before = cache_.stats();
   int64_t decoded = 0;
@@ -346,76 +419,13 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
           ? 0
           : std::strtoll(last_epoch_key.c_str(), nullptr, 10);
 
-  // Relevant transactions: everything published in (prev, stable] whose
-  // epoch committed. Rows under open/aborted epochs in the window are
-  // residue of unfinished publishes and must stay invisible. Under
-  // kDelta each transaction is decoded at most once across all peers
-  // and rounds: an arena hit skips the engine read and the decode.
-  std::unordered_map<std::string, bool> committed_cache;
-  auto epoch_committed = [&](const std::string& epoch_key) {
-    auto it = committed_cache.find(epoch_key);
-    if (it == committed_cache.end()) {
-      it = committed_cache.emplace(epoch_key, EpochCommitted(epoch_key)).first;
-    }
-    return it->second;
-  };
-  std::vector<Transaction> relevant;
-  for (const auto& [key, unused] :
-       engine_->ScanRange("epoch_txns", EpochKey(prev + 1),
-                          EpochKey(stable + 1))) {
-    (void)unused;
-    const size_t sep = key.find(':');
-    if (!epoch_committed(key.substr(0, sep))) continue;
-    const std::string txn_key = key.substr(sep + 1);
-    if (delta) {
-      if (const Transaction* hit = cache_.Lookup(ParseTxnKey(txn_key))) {
-        relevant.push_back(*hit);
-        continue;
-      }
-    }
-    ORCH_ASSIGN_OR_RETURN(std::string blob, ReadTxnBlob(txn_key));
-    size_t pos = 0;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(blob, &pos));
-    ++decoded;
-    // The window filter above established the epoch committed, so the
-    // decoded transaction is immutable and admissible.
-    if (delta) cache_.Admit(txn);
-    relevant.push_back(std::move(txn));
-  }
-
   // Trust predicates are evaluated inside the store so that only fully
-  // trusted transactions and their antecedent closures are shipped. A
-  // known-applied hit suppresses the decision lookup whose answer must
-  // be "already decided" — the applied overlay only ever holds durably
-  // recorded accepts, so the filter outcome is unchanged.
-  TxnIdSet shipped;
-  std::deque<TransactionId> pending;
-  for (const Transaction& txn : relevant) {
-    if (delta && cache_.KnownApplied(peer, txn.id)) continue;
-    if (HasDecision(peer, txn.id)) continue;  // own or already decided
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (priority <= 0) continue;
-    fetch.trusted.emplace_back(txn.id, priority);
-    if (shipped.insert(txn.id).second) {
-      fetch.transactions.push_back(txn);
-      for (const TransactionId& ante : txn.antecedents) {
-        pending.push_back(ante);
-      }
-    }
-  }
-  // Antecedent closure, stopping at transactions the peer has already
-  // applied (their effects are in the peer's instance).
-  while (!pending.empty()) {
-    const TransactionId id = pending.front();
-    pending.pop_front();
-    if (shipped.count(id) != 0) continue;
-    if (delta && cache_.KnownApplied(peer, id)) continue;
-    if (IsApplied(peer, id)) continue;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(id));
-    shipped.insert(id);
-    for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-    fetch.transactions.push_back(std::move(txn));
-  }
+  // trusted transactions and their antecedent closures are shipped.
+  ORCH_ASSIGN_OR_RETURN(
+      RelevantClosure closure,
+      WalkWindow(peer, prev, stable, /*fetch=*/true, &decoded));
+  fetch.trusted = std::move(closure.roots);
+  fetch.transactions = std::move(closure.transactions);
   if (delta) {
     const core::FetchCache::Stats& after = cache_.stats();
     fetch.stats.cache_hits = after.hits - cache_before.hits;
@@ -548,12 +558,10 @@ Status CentralStore::RecordProvenance(
 Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
     ParticipantId peer) const {
   Stopwatch cpu;
-  auto policy_it = policies_.find(peer);
-  if (policy_it == policies_.end()) {
+  if (policies_.count(peer) == 0) {
     return Status::NotFound("peer " + std::to_string(peer) +
                             " is not registered");
   }
-  const core::TrustPolicy& policy = *policy_it->second;
   core::RecoveryBundle bundle;
   bundle.recno = engine_->CurrentSequence("recno:" + std::to_string(peer));
   ORCH_ASSIGN_OR_RETURN(std::string watermark,
@@ -609,11 +617,7 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
       bytes += 16;
     }
   }
-  std::sort(bundle.applied.begin(), bundle.applied.end(),
-            [](const Transaction& a, const Transaction& b) {
-              if (a.epoch != b.epoch) return a.epoch < b.epoch;
-              return a.id < b.id;
-            });
+  SortByPublication(&bundle.applied);
   if (options_.fetch_mode == core::FetchMode::kDelta) {
     // The scan above is the authoritative applied set; replace the
     // conservative overlay with it so the recovered peer's first fetch
@@ -625,39 +629,7 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
 
   // Undecided trusted transactions within the watermark: the deferred
   // backlog, plus the antecedent closures needed to re-reconcile them.
-  TxnIdSet shipped;
-  std::deque<TransactionId> pending;
-  for (const auto& [key, unused] :
-       engine_->ScanRange("epoch_txns", EpochKey(1),
-                          EpochKey(bundle.epoch + 1))) {
-    (void)unused;
-    const size_t sep = key.find(':');
-    if (!EpochCommitted(key.substr(0, sep))) continue;
-    const std::string txn_key = key.substr(sep + 1);
-    ORCH_ASSIGN_OR_RETURN(std::string blob, ReadTxnBlob(txn_key));
-    size_t pos = 0;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(blob, &pos));
-    if (HasDecision(peer, txn.id)) continue;
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (priority <= 0) continue;
-    bundle.undecided.emplace_back(txn.id, priority);
-    if (shipped.insert(txn.id).second) {
-      bytes += static_cast<int64_t>(blob.size());
-      for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-      bundle.closure.push_back(std::move(txn));
-    }
-  }
-  while (!pending.empty()) {
-    const TransactionId id = pending.front();
-    pending.pop_front();
-    if (shipped.count(id) != 0) continue;
-    if (IsApplied(peer, id)) continue;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxn(id));
-    shipped.insert(id);
-    bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-    for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-    bundle.closure.push_back(std::move(txn));
-  }
+  ORCH_RETURN_IF_ERROR(FetchUndecidedBacklog(peer, &bundle, &bytes));
 
   network_->Charge(peer, 2, bytes / 2);
   cpu_micros_[peer] += cpu.ElapsedMicros() + options_.procedure_overhead_micros;
@@ -707,8 +679,7 @@ Result<core::NetworkCentricFetch> CentralStore::BeginNetworkCentricReconciliatio
 Result<core::RecoveryBundle> CentralStore::Bootstrap(
     ParticipantId new_peer, ParticipantId source_peer) {
   Stopwatch cpu;
-  auto policy_it = policies_.find(new_peer);
-  if (policy_it == policies_.end()) {
+  if (policies_.count(new_peer) == 0) {
     return Status::NotFound("peer " + std::to_string(new_peer) +
                             " is not registered");
   }
@@ -716,7 +687,6 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
     return Status::NotFound("source peer " + std::to_string(source_peer) +
                             " is not registered");
   }
-  const core::TrustPolicy& policy = *policy_it->second;
 
   core::RecoveryBundle bundle;
   ORCH_ASSIGN_OR_RETURN(std::string watermark,
@@ -737,11 +707,7 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
     bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
     bundle.applied.push_back(std::move(txn));
   }
-  std::sort(bundle.applied.begin(), bundle.applied.end(),
-            [](const Transaction& a, const Transaction& b) {
-              if (a.epoch != b.epoch) return a.epoch < b.epoch;
-              return a.id < b.id;
-            });
+  SortByPublication(&bundle.applied);
   // Advance the watermark so the adopted window is not re-fetched.
   ORCH_RETURN_IF_ERROR(engine_->Put("peers", std::to_string(new_peer),
                                     EpochKey(bundle.epoch)));
@@ -749,39 +715,7 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
   // Transactions in the adopted window the source did not apply and the
   // new peer's own policy trusts: handed over as the undecided backlog,
   // with antecedent closures.
-  TxnIdSet shipped;
-  std::deque<TransactionId> pending;
-  for (const auto& [key, unused] :
-       engine_->ScanRange("epoch_txns", EpochKey(1),
-                          EpochKey(bundle.epoch + 1))) {
-    (void)unused;
-    const size_t sep = key.find(':');
-    if (!EpochCommitted(key.substr(0, sep))) continue;
-    const std::string txn_key = key.substr(sep + 1);
-    ORCH_ASSIGN_OR_RETURN(std::string blob, ReadTxnBlob(txn_key));
-    size_t pos = 0;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(blob, &pos));
-    if (HasDecision(new_peer, txn.id)) continue;  // adopted above
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (priority <= 0) continue;
-    bundle.undecided.emplace_back(txn.id, priority);
-    if (shipped.insert(txn.id).second) {
-      bytes += static_cast<int64_t>(blob.size());
-      for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-      bundle.closure.push_back(std::move(txn));
-    }
-  }
-  while (!pending.empty()) {
-    const TransactionId id = pending.front();
-    pending.pop_front();
-    if (shipped.count(id) != 0) continue;
-    if (IsApplied(new_peer, id)) continue;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxn(id));
-    shipped.insert(id);
-    bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-    for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-    bundle.closure.push_back(std::move(txn));
-  }
+  ORCH_RETURN_IF_ERROR(FetchUndecidedBacklog(new_peer, &bundle, &bytes));
   ORCH_RETURN_IF_ERROR(engine_->Sync());
   if (options_.fetch_mode == core::FetchMode::kDelta) {
     // The adopted accepts just synced under the new peer's own name.

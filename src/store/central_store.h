@@ -10,6 +10,7 @@
 #include "core/update_store.h"
 #include "net/sim_network.h"
 #include "storage/engine.h"
+#include "store/relevance.h"
 
 namespace orchestra::store {
 
@@ -129,12 +130,21 @@ class CentralStore : public core::UpdateStore,
   Result<core::Transaction> LoadTxn(const core::TransactionId& id) const;
   /// LoadTxn via the decoded-transaction arena (kDelta): an arena hit
   /// skips both the engine read and the decode; a miss decodes and
-  /// admits the transaction when its epoch committed. Under
-  /// kFull/kWindowed this is exactly LoadTxn.
+  /// admits the transaction when its epoch committed. Under kFull this
+  /// is exactly LoadTxn.
   Result<core::Transaction> LoadTxnCached(const core::TransactionId& id) const;
-  bool HasDecision(core::ParticipantId peer,
-                   const core::TransactionId& id) const;
-  bool IsApplied(core::ParticipantId peer, const core::TransactionId& id) const;
+  /// The §5.2 walk (store/relevance.h) for `peer` over the committed
+  /// transactions published in (after, through]; `decoded`, when set,
+  /// counts the window's decodes. Only a reconciliation `fetch` uses the
+  /// kDelta arena and applied overlay.
+  Result<RelevantClosure> WalkWindow(core::ParticipantId peer,
+                                     core::Epoch after, core::Epoch through,
+                                     bool fetch, int64_t* decoded) const;
+  /// Fills `bundle`'s undecided backlog: what the walk ships over
+  /// (0, bundle->epoch]. Adds the shipped bytes to `bytes`.
+  Status FetchUndecidedBacklog(core::ParticipantId peer,
+                               core::RecoveryBundle* bundle,
+                               int64_t* bytes) const;
 
   /// True when `epoch_key`'s epoch committed ("done"). Rows under open or
   /// aborted epochs are residue of unfinished publishes and invisible to

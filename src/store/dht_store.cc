@@ -1,7 +1,7 @@
 #include "store/dht_store.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -648,173 +648,28 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   fetch.epoch = stable;
 
   // Request every published transaction from its transaction controller,
-  // following antecedent chains through a pending set (Fig. 7). The
-  // controller evaluates the peer's trust predicates and decision log:
-  // decided or (top-level) untrusted transactions yield a small
-  // "not relevant" reply; everything else is shipped with its priority
-  // and antecedent ids.
-  TxnIdSet requested;
-  if (!delta) {
-    std::deque<std::pair<TransactionId, bool>> pending;  // (id, as_antecedent)
-    for (const TransactionId& id : published) pending.emplace_back(id, false);
-    while (!pending.empty()) {
-      const auto [id, as_antecedent] = pending.front();
-      pending.pop_front();
-      if (!requested.insert(id).second) continue;
-      const std::string tkey = "txn:" + id.ToString();
-      ORCH_RETURN_IF_ERROR(
-          TryRoutedSend(peer, my_node, net::KeyHash(tkey), 24).status());
-      ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
-      const NodeState& node = nodes_[read.holder];
-      const Transaction& txn = read.txn;
-      // Decision check at the controller.
-      char decided = 0;
-      auto dec_it = node.decisions.find(id);
-      if (dec_it != node.decisions.end()) {
-        auto peer_it = dec_it->second.find(peer);
-        if (peer_it != dec_it->second.end()) decided = peer_it->second.verdict;
-      }
-      if (decided == 'A' || (!as_antecedent && decided != 0)) {
-        ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));  // "not relevant"
-        continue;
-      }
-      const int priority = policy.PriorityOfTransaction(txn);
-      if (!as_antecedent && priority <= 0) {
-        ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));  // "untrusted"
-        continue;
-      }
-      // Ship the transaction end-to-end: the reply carries the verified
-      // wire blob, and the peer unwraps and decodes what actually
-      // arrived. The priority rides in a small side message.
-      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));
-      ORCH_ASSIGN_OR_RETURN(Transaction delivered,
-                            ShipTxn(peer, read.wire, txn));
-      if (!as_antecedent) fetch.trusted.emplace_back(id, priority);
-      for (const TransactionId& ante : delivered.antecedents) {
-        pending.emplace_back(ante, true);
-      }
-      fetch.transactions.push_back(std::move(delivered));
+  // following antecedent chains level by level (Fig. 7). Under kDelta a
+  // lookup whose reply must be "not relevant" (the peer durably applied
+  // the id) is never sent; a repeat of a suppressed id counts once, as
+  // the DHT would not have requested it twice.
+  core::TxnIdSet suppressed_ids;
+  const KnownVerdictFn known =
+      [&](const TransactionId& id) -> std::optional<Verdict> {
+    if (!delta || (suppressed_ids.count(id) == 0 &&
+                   !cache_.KnownApplied(peer, id))) {
+      return std::nullopt;
     }
-  } else {
-    // The FIFO above drains one antecedent level completely before the
-    // next, so walking the closure level by level visits ids in the
-    // same order. Within a level, same-controller lookups coalesce into
-    // one multi-get request and one accumulated reply per primary
-    // owner; entries are still *processed* in arrival order, so the
-    // shipped transactions come out in the identical sequence. Lookups
-    // whose reply must be "not relevant" — the peer durably applied the
-    // transaction — are suppressed before any message is sent.
-    std::vector<std::pair<TransactionId, bool>> frontier;
-    for (const TransactionId& id : published) frontier.emplace_back(id, false);
-    while (!frontier.empty()) {
-      std::vector<std::pair<TransactionId, bool>> level;
-      for (const auto& [id, as_antecedent] : frontier) {
-        if (!requested.insert(id).second) continue;
-        if (cache_.KnownApplied(peer, id)) continue;  // would reply 'A'
-        level.emplace_back(id, as_antecedent);
-      }
-      frontier.clear();
-      if (level.empty()) continue;
-      std::vector<size_t> owner_order;
-      std::unordered_map<size_t, std::pair<int64_t, int64_t>>
-          batch;  // owner -> (request count, reply bytes)
-      for (const auto& [id, as_antecedent] : level) {
-        (void)as_antecedent;
-        const size_t owner = TxnControllerNode(id);
-        auto [it, inserted] = batch.try_emplace(owner, 0, 8);
-        if (inserted) owner_order.push_back(owner);
-        it->second.first += 1;
-      }
-      for (size_t owner : owner_order) {
-        // Find the first id owned by this controller to route along.
-        const TransactionId* route_id = nullptr;
-        for (const auto& [id, unused] : level) {
-          if (TxnControllerNode(id) == owner) {
-            route_id = &id;
-            break;
-          }
-        }
-        ORCH_RETURN_IF_ERROR(
-            TryRoutedSend(peer, my_node,
-                          net::KeyHash("txn:" + route_id->ToString()),
-                          24 * batch[owner].first)
-                .status());
-        fetch.stats.batched_messages += 1;
-      }
-      // Shipped transactions accumulate per owner as one concatenated
-      // payload of envelope frames; placeholders keep fetch.transactions
-      // in arrival order and are overwritten by what actually arrives.
-      std::unordered_map<size_t, std::string> ship_buf;
-      std::unordered_map<size_t, std::vector<size_t>> ship_idx;
-      for (const auto& [id, as_antecedent] : level) {
-        ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
-        const NodeState& node = nodes_[read.holder];
-        const Transaction& txn = read.txn;
-        const size_t owner = TxnControllerNode(id);
-        int64_t& reply_bytes = batch[owner].second;
-        char decided = 0;
-        auto dec_it = node.decisions.find(id);
-        if (dec_it != node.decisions.end()) {
-          auto peer_it = dec_it->second.find(peer);
-          if (peer_it != dec_it->second.end()) decided = peer_it->second.verdict;
-        }
-        if (decided == 'A' || (!as_antecedent && decided != 0)) {
-          reply_bytes += 8;  // "not relevant"
-          continue;
-        }
-        const int priority = policy.PriorityOfTransaction(txn);
-        if (!as_antecedent && priority <= 0) {
-          reply_bytes += 8;  // "untrusted"
-          continue;
-        }
-        reply_bytes += 8;  // per-txn header; the blob rides the payload
-        ship_buf[owner].append(read.wire);
-        ship_idx[owner].push_back(fetch.transactions.size());
-        if (!as_antecedent) fetch.trusted.emplace_back(id, priority);
-        fetch.transactions.push_back(txn);
-        for (const TransactionId& ante : txn.antecedents) {
-          frontier.emplace_back(ante, true);
-        }
-      }
-      for (size_t owner : owner_order) {
-        ORCH_RETURN_IF_ERROR(TryDirectSend(peer, batch[owner].second));
-        auto buf_it = ship_buf.find(owner);
-        if (buf_it == ship_buf.end()) continue;
-        // The owner's accumulated blob payload travels as one message;
-        // the receiver walks the frames and keeps what verifies.
-        ORCH_ASSIGN_OR_RETURN(const std::string delivered,
-                              ShipPayload(peer, buf_it->second));
-        size_t pos = 0;
-        // Frames were appended in slot order, so walking the slots walks
-        // the frames; the map only buckets per owner (the slot vector
-        // itself is ordered).
-        const std::vector<size_t>& slots = ship_idx[owner];
-        for (size_t idx : slots) {
-          auto body = db::ReadEnvelope(delivered, &pos);
-          if (!body.ok()) {
-            if (!options_.verify_checksums) {
-              // Control arm: framing lost mid-batch; the remaining
-              // placeholders (the sender-side copies) stand in, the way
-              // an unchecksummed reader would never notice.
-              UnverifiedCorruptReads().Increment();
-              break;
-            }
-            static Counter& detected = MetricsRegistry::Global().GetCounter(
-                "integrity.corrupt_payloads_detected");
-            detected.Increment();
-            return Status::Corruption(
-                "multi-get reply corrupted in flight");
-          }
-          size_t bpos = 0;
-          auto txn = core::DecodeTransaction(*body, &bpos);
-          if (!txn.ok()) {
-            if (!options_.verify_checksums) continue;
-            return txn.status();
-          }
-          fetch.transactions[idx] = *std::move(txn);
-        }
-      }
-    }
+    suppressed_ids.insert(id);
+    return Verdict::kApplied;
+  };
+  ORCH_ASSIGN_OR_RETURN(
+      RelevantClosure closure,
+      WalkRelevantClosure(policy, published, known,
+                          std::bind_front(&DhtStore::FetchLevel, this, peer,
+                                          my_node, &fetch.stats)));
+  fetch.trusted = std::move(closure.roots);
+  fetch.transactions = std::move(closure.transactions);
+  if (delta) {
     fetch.stats.suppressed_lookups =
         cache_.stats().suppressed - cache_before.suppressed;
   }
@@ -846,6 +701,166 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   multi_get_batches.Add(fetch.stats.batched_messages);
   suppressed.Add(fetch.stats.suppressed_lookups);
   return fetch;
+}
+
+Status DhtStore::FetchLevel(ParticipantId peer, size_t my_node,
+                            core::FetchStats* stats,
+                            const std::vector<LevelEntry>& level,
+                            const DecideFn& decide,
+                            std::vector<Transaction>* shipped) {
+  if (options_.fetch_mode == core::FetchMode::kFull) {
+    for (size_t i = 0; i < level.size(); ++i) {
+      const TransactionId& id = level[i].id;
+      ORCH_RETURN_IF_ERROR(
+          TryRoutedSend(peer, my_node, net::KeyHash("txn:" + id.ToString()),
+                        24)
+              .status());
+      ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
+      const bool ships =
+          decide(i, nodes_[read.holder].VerdictOf(peer, id), &read.txn);
+      // "Not relevant", or the priority of a shipped transaction.
+      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));
+      if (!ships) continue;
+      // Ship the transaction end-to-end: the reply carries the verified
+      // wire blob, and the peer unwraps and decodes what arrived.
+      ORCH_ASSIGN_OR_RETURN(Transaction delivered,
+                            ShipTxn(peer, read.wire, read.txn));
+      shipped->push_back(std::move(delivered));
+    }
+    return Status::OK();
+  }
+  // kDelta: same-controller lookups coalesce into one multi-get request
+  // and one accumulated reply per primary owner; entries are still
+  // *processed* in level order, so the shipped transactions come out in
+  // the same sequence as the per-key path.
+  struct Batch {
+    size_t first = 0;             // level index of the first entry (routing)
+    int64_t requests = 0;
+    int64_t reply_bytes = 8;      // reply header
+    std::string payload{};        // shipped blobs, concatenated
+    std::vector<size_t> slots{};  // positions in *shipped, payload order
+  };
+  std::vector<size_t> owner_order;
+  std::unordered_map<size_t, Batch> batches;
+  for (size_t i = 0; i < level.size(); ++i) {
+    const size_t owner = TxnControllerNode(level[i].id);
+    auto [it, inserted] = batches.try_emplace(owner, Batch{.first = i});
+    if (inserted) owner_order.push_back(owner);
+    it->second.requests += 1;
+  }
+  for (size_t owner : owner_order) {
+    const Batch& owner_batch = batches[owner];
+    // Route along the first entry's key: same primary, same route.
+    const TransactionId& route_id = level[owner_batch.first].id;
+    ORCH_RETURN_IF_ERROR(
+        TryRoutedSend(peer, my_node, net::KeyHash("txn:" + route_id.ToString()),
+                      24 * owner_batch.requests)
+            .status());
+    stats->batched_messages += 1;
+  }
+  // Shipped transactions accumulate per owner as one payload of
+  // envelope frames; the sender-side copies hold their slots until what
+  // actually arrives overwrites them.
+  for (size_t i = 0; i < level.size(); ++i) {
+    const TransactionId& id = level[i].id;
+    ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
+    Batch& owner_batch = batches[TxnControllerNode(id)];
+    // "Not relevant", or the per-txn header of a shipped transaction.
+    owner_batch.reply_bytes += 8;
+    if (!decide(i, nodes_[read.holder].VerdictOf(peer, id), &read.txn)) {
+      continue;
+    }
+    owner_batch.payload.append(read.wire);
+    owner_batch.slots.push_back(shipped->size());
+    shipped->push_back(std::move(read.txn));
+  }
+  for (size_t owner : owner_order) {
+    const Batch& owner_batch = batches[owner];
+    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, owner_batch.reply_bytes));
+    if (owner_batch.slots.empty()) continue;
+    // The owner's accumulated payload travels as one message; the
+    // receiver walks the frames and keeps what verifies.
+    ORCH_ASSIGN_OR_RETURN(const std::string delivered,
+                          ShipPayload(peer, owner_batch.payload));
+    size_t pos = 0;
+    for (size_t slot : owner_batch.slots) {
+      auto body = db::ReadEnvelope(delivered, &pos);
+      if (!body.ok()) {
+        if (!options_.verify_checksums) {
+          // Control arm: framing lost mid-batch; the remaining
+          // sender-side copies stand in, the way an unchecksummed reader
+          // would never notice.
+          UnverifiedCorruptReads().Increment();
+          break;
+        }
+        static Counter& detected = MetricsRegistry::Global().GetCounter(
+            "integrity.corrupt_payloads_detected");
+        detected.Increment();
+        return Status::Corruption("multi-get reply corrupted in flight");
+      }
+      size_t bpos = 0;
+      auto txn = core::DecodeTransaction(*body, &bpos);
+      if (!txn.ok()) {
+        if (!options_.verify_checksums) continue;
+        return txn.status();
+      }
+      (*shipped)[slot] = *std::move(txn);
+    }
+  }
+  return Status::OK();
+}
+
+Status DhtStore::FetchUndecidedBacklog(ParticipantId peer,
+                                       const KnownVerdictFn& known,
+                                       core::RecoveryBundle* bundle) const {
+  const size_t my_node = NodeOfPeer(peer);
+  std::vector<TransactionId> window;
+  for (Epoch e = 1; e <= bundle->epoch; ++e) {
+    const std::string ekey = "epoch:" + std::to_string(e);
+    const auto holder = FirstHolder(
+        peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
+    const size_t controller = holder.value_or(EpochControllerNode(e));
+    const auto route = ring_.Route(my_node, ring_.IdOf(controller));
+    if (!EpochCommitted(e)) {  // aborted or unfinished: nothing to ship
+      network_->Charge(peer, route.hops + 1, 16);
+      continue;
+    }
+    const auto contents = nodes_[controller].epoch_contents.find(e);
+    const size_t count = contents == nodes_[controller].epoch_contents.end()
+                             ? 0
+                             : contents->second.size();
+    network_->Charge(peer, route.hops + 1,
+                     static_cast<int64_t>(16 * count + 16));
+    if (contents == nodes_[controller].epoch_contents.end()) continue;
+    window.insert(window.end(), contents->second.begin(),
+                  contents->second.end());
+  }
+  // Each id is one round trip from the peer's node to a verified
+  // holder: a 24-byte "not relevant" reply, or the transaction.
+  const LookupLevelFn lookup =
+      [&](const std::vector<LevelEntry>& level, const DecideFn& decide,
+          std::vector<Transaction>* shipped) -> Status {
+    for (size_t i = 0; i < level.size(); ++i) {
+      const TransactionId& id = level[i].id;
+      ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
+      const auto route = ring_.Route(my_node, ring_.IdOf(read.holder));
+      if (!decide(i, nodes_[read.holder].VerdictOf(peer, id), &read.txn)) {
+        network_->Charge(peer, route.hops + 1, 24);
+        continue;
+      }
+      network_->Charge(
+          peer, route.hops + 1,
+          static_cast<int64_t>(core::EncodedTransactionSize(read.txn)) + 8);
+      shipped->push_back(std::move(read.txn));
+    }
+    return Status::OK();
+  };
+  ORCH_ASSIGN_OR_RETURN(
+      RelevantClosure closure,
+      WalkRelevantClosure(*policies_.at(peer), window, known, lookup));
+  bundle->undecided = std::move(closure.roots);
+  bundle->closure = std::move(closure.transactions);
+  return Status::OK();
 }
 
 Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
@@ -957,12 +972,10 @@ const std::vector<core::ProvenanceRecord>& DhtStore::provenance_log(
 Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
     ParticipantId peer) const {
   Stopwatch cpu;
-  auto policy_it = policies_.find(peer);
-  if (policy_it == policies_.end()) {
+  if (policies_.count(peer) == 0) {
     return Status::NotFound("peer " + std::to_string(peer) +
                             " is not registered");
   }
-  const core::TrustPolicy& policy = *policy_it->second;
   core::RecoveryBundle bundle;
 
   // Watermark, recno and completion witness from the peer coordinator
@@ -995,12 +1008,10 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
     std::vector<TransactionId> ids;
     for (const auto& [id, txn] : nodes_[node].txns) ids.push_back(id);
     for (const TransactionId& id : ids) {
-      auto dec_it = nodes_[node].decisions.find(id);
-      if (dec_it == nodes_[node].decisions.end()) continue;
-      auto peer_it = dec_it->second.find(peer);
-      if (peer_it == dec_it->second.end()) continue;
+      const Verdict verdict = nodes_[node].VerdictOf(peer, id);
+      if (verdict == Verdict::kUndecided) continue;
       if (!decided.insert(id).second) continue;  // already from a replica
-      if (peer_it->second.verdict == 'A') {
+      if (verdict == Verdict::kApplied) {
         ORCH_ASSIGN_OR_RETURN(Transaction txn,
                               ReadLocalOrRepair(peer, node, id));
         bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
@@ -1014,11 +1025,7 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
     network_->Charge(peer, route.hops, 16);
     network_->Charge(peer, 1, bytes);  // reply
   }
-  std::sort(bundle.applied.begin(), bundle.applied.end(),
-            [](const Transaction& a, const Transaction& b) {
-              if (a.epoch != b.epoch) return a.epoch < b.epoch;
-              return a.id < b.id;
-            });
+  SortByPublication(&bundle.applied);
 
   // Undecided trusted transactions within the watermark, from the epoch
   // controllers, plus antecedent closures from their controllers.
@@ -1030,52 +1037,14 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
     // suppresses everything it durably applied.
     cache_.ResetApplied(peer, applied_ids);
   }
-  core::TxnIdSet shipped;
-  std::deque<std::pair<TransactionId, bool>> pending;
-  for (Epoch e = 1; e <= bundle.epoch; ++e) {
-    const std::string ekey = "epoch:" + std::to_string(e);
-    const auto holder = FirstHolder(
-        peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
-    const size_t controller = holder.value_or(EpochControllerNode(e));
-    const auto route = ring_.Route(NodeOfPeer(peer), ring_.IdOf(controller));
-    if (!EpochCommitted(e)) {  // aborted or unfinished: nothing to ship
-      network_->Charge(peer, route.hops + 1, 16);
-      continue;
-    }
-    const auto contents = nodes_[controller].epoch_contents.find(e);
-    const size_t count = contents == nodes_[controller].epoch_contents.end()
-                             ? 0
-                             : contents->second.size();
-    network_->Charge(peer, route.hops + 1,
-                     static_cast<int64_t>(16 * count + 16));
-    if (contents == nodes_[controller].epoch_contents.end()) continue;
-    for (const TransactionId& id : contents->second) {
-      if (decided.count(id) == 0) pending.emplace_back(id, false);
-    }
-  }
-  while (!pending.empty()) {
-    const auto [id, as_antecedent] = pending.front();
-    pending.pop_front();
-    if (!shipped.insert(id).second) continue;
-    if (applied_ids.count(id) != 0) continue;
-    ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
-    const size_t node = read.holder;
-    const auto route = ring_.Route(NodeOfPeer(peer), ring_.IdOf(node));
-    const Transaction& txn = read.txn;
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (!as_antecedent && priority <= 0) {
-      network_->Charge(peer, route.hops + 1, 24);
-      continue;
-    }
-    network_->Charge(
-        peer, route.hops + 1,
-        static_cast<int64_t>(core::EncodedTransactionSize(txn)) + 8);
-    if (!as_antecedent) bundle.undecided.emplace_back(id, priority);
-    bundle.closure.push_back(txn);
-    for (const TransactionId& ante : txn.antecedents) {
-      pending.emplace_back(ante, true);
-    }
-  }
+  // The sweep delivered every decision: decided ids need no lookup.
+  ORCH_RETURN_IF_ERROR(FetchUndecidedBacklog(
+      peer,
+      [&](const TransactionId& id) -> std::optional<Verdict> {
+        if (decided.count(id) == 0) return std::nullopt;
+        return applied_ids.count(id) ? Verdict::kApplied : Verdict::kRejected;
+      },
+      &bundle));
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
   return bundle;
@@ -1158,12 +1127,9 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
 Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
                                                  ParticipantId source_peer) {
   Stopwatch cpu;
-  auto policy_it = policies_.find(new_peer);
-  if (policy_it == policies_.end() ||
-      policies_.count(source_peer) == 0) {
+  if (policies_.count(new_peer) == 0 || policies_.count(source_peer) == 0) {
     return Status::NotFound("bootstrap peers must both be registered");
   }
-  const core::TrustPolicy& policy = *policy_it->second;
   const size_t my_node = NodeOfPeer(new_peer);
   core::RecoveryBundle bundle;
 
@@ -1213,63 +1179,20 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
     network_->Charge(new_peer, route.hops, 16);
     network_->Charge(new_peer, 1, bytes);
   }
-  std::sort(bundle.applied.begin(), bundle.applied.end(),
-            [](const Transaction& a, const Transaction& b) {
-              if (a.epoch != b.epoch) return a.epoch < b.epoch;
-              return a.id < b.id;
-            });
+  SortByPublication(&bundle.applied);
   if (options_.fetch_mode == core::FetchMode::kDelta) {
     // The adopted accepts landed on every replica of their groups.
     for (const TransactionId& id : adopted) cache_.MarkApplied(new_peer, id);
   }
 
   // Undecided trusted transactions within the adopted window.
-  core::TxnIdSet shipped;
-  std::deque<std::pair<TransactionId, bool>> pending;
-  for (Epoch e = 1; e <= bundle.epoch; ++e) {
-    const std::string ekey = "epoch:" + std::to_string(e);
-    const auto holder = FirstHolder(
-        new_peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
-    const size_t controller = holder.value_or(EpochControllerNode(e));
-    const auto route = ring_.Route(my_node, ring_.IdOf(controller));
-    if (!EpochCommitted(e)) {  // aborted or unfinished: nothing to ship
-      network_->Charge(new_peer, route.hops + 1, 16);
-      continue;
-    }
-    const auto contents = nodes_[controller].epoch_contents.find(e);
-    const size_t count = contents == nodes_[controller].epoch_contents.end()
-                             ? 0
-                             : contents->second.size();
-    network_->Charge(new_peer, route.hops + 1,
-                     static_cast<int64_t>(16 * count + 16));
-    if (contents == nodes_[controller].epoch_contents.end()) continue;
-    for (const TransactionId& id : contents->second) {
-      if (adopted.count(id) == 0) pending.emplace_back(id, false);
-    }
-  }
-  while (!pending.empty()) {
-    const auto [id, as_antecedent] = pending.front();
-    pending.pop_front();
-    if (!shipped.insert(id).second) continue;
-    if (adopted.count(id) != 0) continue;
-    ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(new_peer, id));
-    const size_t node = read.holder;
-    const auto route = ring_.Route(my_node, ring_.IdOf(node));
-    const Transaction& txn = read.txn;
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (!as_antecedent && priority <= 0) {
-      network_->Charge(new_peer, route.hops + 1, 24);
-      continue;
-    }
-    network_->Charge(
-        new_peer, route.hops + 1,
-        static_cast<int64_t>(core::EncodedTransactionSize(txn)) + 8);
-    if (!as_antecedent) bundle.undecided.emplace_back(id, priority);
-    bundle.closure.push_back(txn);
-    for (const TransactionId& ante : txn.antecedents) {
-      pending.emplace_back(ante, true);
-    }
-  }
+  ORCH_RETURN_IF_ERROR(FetchUndecidedBacklog(
+      new_peer,
+      [&](const TransactionId& id) -> std::optional<Verdict> {
+        if (adopted.count(id) != 0) return Verdict::kApplied;
+        return std::nullopt;
+      },
+      &bundle));
   cpu_micros_[new_peer] += cpu.ElapsedMicros();
   calls_[new_peer] += 1;
   return bundle;

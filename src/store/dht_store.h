@@ -14,6 +14,7 @@
 #include "core/update_store.h"
 #include "net/dht.h"
 #include "net/sim_network.h"
+#include "store/relevance.h"
 
 namespace orchestra::store {
 
@@ -237,6 +238,16 @@ class DhtStore : public core::UpdateStore,
       return epoch_contents.count(e) != 0 || epoch_done.count(e) != 0 ||
              epoch_aborted.count(e) != 0;
     }
+    /// Peer `p`'s verdict on `id` in this node's decision log.
+    Verdict VerdictOf(core::ParticipantId p,
+                      const core::TransactionId& id) const {
+      auto it = decisions.find(id);
+      if (it == decisions.end() || it->second.count(p) == 0) {
+        return Verdict::kUndecided;
+      }
+      return it->second.at(p).verdict == 'A' ? Verdict::kApplied
+                                             : Verdict::kRejected;
+    }
   };
 
   /// The live node peer p's client runs on: slot p % size, failing over
@@ -359,6 +370,22 @@ class DhtStore : public core::UpdateStore,
   Result<core::Transaction> ShipTxn(core::ParticipantId peer,
                                     const std::string& wire,
                                     const core::Transaction& fallback) const;
+
+  /// The level lookup of the §5.2 walk (store/relevance.h) for a
+  /// reconciliation fetch: under kFull one routed request and one reply
+  /// per id, under kDelta one multi-get request and one accumulated reply
+  /// per primary owner (counted in `stats`).
+  Status FetchLevel(core::ParticipantId peer, size_t my_node,
+                    core::FetchStats* stats,
+                    const std::vector<LevelEntry>& level,
+                    const DecideFn& decide,
+                    std::vector<core::Transaction>* shipped);
+  /// Fills `bundle`'s undecided backlog for recovery and bootstrap: what
+  /// the walk ships over (0, bundle->epoch]. `known` holds the verdicts
+  /// the caller's node sweep already collected.
+  Status FetchUndecidedBacklog(core::ParticipantId peer,
+                               const KnownVerdictFn& known,
+                               core::RecoveryBundle* bundle) const;
 
   /// True when epoch `e` committed (finished and not aborted) on any
   /// replica still holding it.

@@ -156,6 +156,45 @@ TEST_P(BootstrapTest, UndecidedBacklogTransfersToNewcomer) {
   EXPECT_EQ((*fresh)->instance().TotalTuples(), 1u);
 }
 
+TEST_P(BootstrapTest, DeferredDependentOfUntrustedRootTransfers) {
+  // Peer 9 trusts p2 and p3 but not p1, and defers their conflicting
+  // revisions of p1's insert. A newcomer with the same policy
+  // bootstrapping from peer 9 sees the insert as an untrusted root of
+  // the adopted window: it must still ship as the antecedent of the
+  // inherited backlog.
+  TrustPolicy picky(9);
+  picky.TrustPeer(2, 1);
+  picky.TrustPeer(3, 1);
+  policies_.push_back(std::make_unique<TrustPolicy>(picky));
+  ASSERT_TRUE(store_->RegisterParticipant(9, policies_.back().get()).ok());
+  Participant p9(9, &catalog_, picky);
+
+  ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "a", 1)}).ok());
+  ASSERT_TRUE(P(1).PublishAndReconcile(store_.get()).ok());
+  ASSERT_TRUE(p9.Reconcile(store_.get()).ok());  // untrusted: nothing
+  ASSERT_TRUE(P(2).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(3).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(2).ExecuteTransaction({Mod("rat", "p1", "a", "b", 2)}).ok());
+  ASSERT_TRUE(P(2).Publish(store_.get()).ok());
+  ASSERT_TRUE(P(3).ExecuteTransaction({Mod("rat", "p1", "a", "c", 3)}).ok());
+  ASSERT_TRUE(P(3).Publish(store_.get()).ok());
+  auto report = p9.Reconcile(store_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(p9.deferred_count(), 2u);
+
+  TrustPolicy newcomer(10);
+  newcomer.TrustPeer(2, 1);
+  newcomer.TrustPeer(3, 1);
+  policies_.push_back(std::make_unique<TrustPolicy>(newcomer));
+  ASSERT_TRUE(store_->RegisterParticipant(10, policies_.back().get()).ok());
+  auto fresh =
+      Participant::BootstrapFrom(10, &catalog_, newcomer, store_.get(), 9);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ((*fresh)->deferred_count(), 2u);
+  EXPECT_EQ((*fresh)->pending_conflicts().size(), 1u);
+  EXPECT_TRUE((*fresh)->instance() == p9.instance());
+}
+
 TEST_P(BootstrapTest, UnregisteredPeersFail) {
   EXPECT_FALSE(store_->Bootstrap(9, 1).ok());
   RegisterPeer(4);

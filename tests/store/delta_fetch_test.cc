@@ -2,9 +2,9 @@
 // (core::FetchMode::kDelta) are a pure cost optimization. Multi-round
 // runs with interleaved publishes — fault-free, with injected faults
 // (the fault-sweep composition), and under DHT node churn — must
-// produce per-peer decision sets bit-identical to the full-fetch and
-// windowed baselines. The DHT's batched multi-get must also visibly
-// reduce message counts, or the batching layer is dead code.
+// produce per-peer decision sets bit-identical to the full-fetch
+// baseline. The DHT's batched multi-get must also visibly reduce message
+// counts, or the batching layer is dead code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@ namespace orchestra::sim {
 namespace {
 
 constexpr core::FetchMode kModes[] = {core::FetchMode::kFull,
-                                      core::FetchMode::kWindowed,
                                       core::FetchMode::kDelta};
 
 CdssConfig BaseConfig(StoreKind kind) {
@@ -64,19 +63,13 @@ class DeltaFetchTest : public ::testing::TestWithParam<StoreKind> {};
 TEST_P(DeltaFetchTest, ModesProduceIdenticalDecisions) {
   const ModeOutcome baseline = RunMode(BaseConfig(GetParam()),
                                        core::FetchMode::kFull);
-  for (core::FetchMode mode : {core::FetchMode::kWindowed,
-                               core::FetchMode::kDelta}) {
-    const ModeOutcome outcome = RunMode(BaseConfig(GetParam()), mode);
-    EXPECT_EQ(outcome.result.accepted, baseline.result.accepted)
-        << core::FetchModeName(mode);
-    EXPECT_EQ(outcome.result.rejected, baseline.result.rejected)
-        << core::FetchModeName(mode);
-    EXPECT_EQ(outcome.result.deferred, baseline.result.deferred)
-        << core::FetchModeName(mode);
-    EXPECT_EQ(outcome.result.state_ratio, baseline.result.state_ratio)
-        << core::FetchModeName(mode);
-    EXPECT_EQ(outcome.peers, baseline.peers) << core::FetchModeName(mode);
-  }
+  const ModeOutcome delta = RunMode(BaseConfig(GetParam()),
+                                    core::FetchMode::kDelta);
+  EXPECT_EQ(delta.result.accepted, baseline.result.accepted);
+  EXPECT_EQ(delta.result.rejected, baseline.result.rejected);
+  EXPECT_EQ(delta.result.deferred, baseline.result.deferred);
+  EXPECT_EQ(delta.result.state_ratio, baseline.result.state_ratio);
+  EXPECT_EQ(delta.peers, baseline.peers);
 }
 
 TEST_P(DeltaFetchTest, ModesProduceIdenticalDecisionsUnderFaults) {
@@ -124,18 +117,15 @@ TEST(DeltaFetchDhtTest, ModesProduceIdenticalDecisionsUnderChurn) {
 }
 
 TEST(DeltaFetchDhtTest, BatchedMultiGetReducesMessages) {
-  // Same schedule, same decisions — fewer protocol messages at every
-  // step down: full re-requests all of history each round, windowed
-  // requests only the new window but one message per key, delta batches
-  // the window's keys into per-owner multi-gets.
+  // Same schedule, same decisions — fewer protocol messages: full
+  // re-requests all of history each round, one message per key, while
+  // delta requests only the new window and batches its keys into
+  // per-owner multi-gets.
   const ModeOutcome full = RunMode(BaseConfig(StoreKind::kDht),
                                    core::FetchMode::kFull);
-  const ModeOutcome windowed = RunMode(BaseConfig(StoreKind::kDht),
-                                       core::FetchMode::kWindowed);
   const ModeOutcome delta = RunMode(BaseConfig(StoreKind::kDht),
                                     core::FetchMode::kDelta);
-  EXPECT_LT(delta.result.messages, windowed.result.messages);
-  EXPECT_LT(windowed.result.messages, full.result.messages);
+  EXPECT_LT(delta.result.messages, full.result.messages);
   EXPECT_EQ(delta.peers, full.peers);
 }
 

@@ -96,6 +96,73 @@ TEST_P(NetworkCentricModeTest, BasicFlowAndDeferral) {
   EXPECT_EQ(report->deferred.size(), 2u);
 }
 
+/// Decisions and final instance of the untrusted-antecedent scenario:
+/// p1 inserts, p2 revises, and a peer trusting only p2 reconciles once,
+/// network-centric.
+struct UntrustedAntecedentOutcome {
+  bool ok = false;
+  std::vector<core::TransactionId> accepted, rejected, deferred;
+  std::vector<db::Tuple> rows;
+};
+
+UntrustedAntecedentOutcome RunUntrustedAntecedent(StoreKind kind) {
+  db::Catalog catalog = MakeProteinCatalog();
+  net::SimNetwork network;
+  std::unique_ptr<storage::StorageEngine> engine;
+  std::unique_ptr<core::UpdateStore> store;
+  if (kind == StoreKind::kCentral) {
+    engine = storage::StorageEngine::InMemory();
+    store = std::make_unique<CentralStore>(engine.get(), &network,
+                                           CentralStoreOptions{}, &catalog);
+  } else {
+    store = std::make_unique<DhtStore>(3, &network, &catalog);
+  }
+  std::vector<std::unique_ptr<TrustPolicy>> policies;
+  for (ParticipantId id = 0; id < 3; ++id) {
+    auto policy = std::make_unique<TrustPolicy>(id);
+    // Peers 0 and 1 trust each other; peer 2 trusts only peer 1.
+    policy->TrustPeer(id == 1 ? 0 : 1, 1);
+    ORCH_CHECK(store->RegisterParticipant(id, policy.get()).ok());
+    policies.push_back(std::move(policy));
+  }
+  Participant p0(0, &catalog, *policies[0]);
+  Participant p1(1, &catalog, *policies[1]);
+  Participant picky(2, &catalog, *policies[2]);
+  UntrustedAntecedentOutcome out;
+  if (!p0.ExecuteTransaction({Ins("rat", "p1", "a", 0)}).ok() ||
+      !p0.Publish(store.get()).ok() ||
+      !p1.ReconcileNetworkCentric(store.get()).ok() ||
+      !p1.ExecuteTransaction({Mod("rat", "p1", "a", "b", 1)}).ok() ||
+      !p1.Publish(store.get()).ok()) {
+    return out;
+  }
+  auto report = picky.ReconcileNetworkCentric(store.get());
+  if (!report.ok()) return out;
+  out.ok = true;
+  out.accepted = report->accepted;
+  out.rejected = report->rejected;
+  out.deferred = report->deferred;
+  auto table = picky.instance().GetTable("F");
+  if (table.ok()) out.rows = (*table)->ScanSorted();
+  return out;
+}
+
+TEST_P(NetworkCentricModeTest, UntrustedAntecedentShippedWithTrustedDependent) {
+  // The store-side analysis needs the revision's untrusted antecedent
+  // in the bundle; both stores must ship it and accept the revision.
+  const UntrustedAntecedentOutcome central =
+      RunUntrustedAntecedent(StoreKind::kCentral);
+  const UntrustedAntecedentOutcome outcome = RunUntrustedAntecedent(GetParam());
+  ASSERT_TRUE(central.ok);
+  ASSERT_TRUE(outcome.ok);
+  EXPECT_EQ(outcome.accepted, central.accepted);
+  EXPECT_EQ(outcome.rejected, central.rejected);
+  EXPECT_EQ(outcome.deferred, central.deferred);
+  EXPECT_EQ(outcome.rows, central.rows);
+  EXPECT_EQ(outcome.accepted.size(), 1u);
+  EXPECT_EQ(outcome.rows, std::vector<db::Tuple>{T({"rat", "p1", "b"})});
+}
+
 INSTANTIATE_TEST_SUITE_P(BothStores, NetworkCentricModeTest,
                          ::testing::Values(StoreKind::kCentral,
                                            StoreKind::kDht),

@@ -168,6 +168,39 @@ TEST_P(RecoveryTest, RevisionChainsReplayInOrder) {
       InstanceHasExactly((*recovered)->instance(), {T({"rat", "p1", "v3"})}));
 }
 
+TEST_P(RecoveryTest, DeferredDependentOfUntrustedRootSurvivesRecovery) {
+  // Peer 9 trusts p2 and p3 but not p1, and defers their conflicting
+  // revisions of p1's insert. Recovery walks the whole window, where the
+  // insert is an untrusted root: it must still ship as the antecedent of
+  // the deferred revisions.
+  TrustPolicy picky(9);
+  picky.TrustPeer(2, 1);
+  picky.TrustPeer(3, 1);
+  policies_.push_back(std::make_unique<TrustPolicy>(picky));
+  ASSERT_TRUE(store_->RegisterParticipant(9, policies_.back().get()).ok());
+  Participant p9(9, &catalog_, picky);
+
+  ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "a", 1)}).ok());
+  ASSERT_TRUE(P(1).PublishAndReconcile(store_.get()).ok());
+  ASSERT_TRUE(p9.Reconcile(store_.get()).ok());  // untrusted: nothing
+  ASSERT_TRUE(P(2).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(3).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(2).ExecuteTransaction({Mod("rat", "p1", "a", "b", 2)}).ok());
+  ASSERT_TRUE(P(2).Publish(store_.get()).ok());
+  ASSERT_TRUE(P(3).ExecuteTransaction({Mod("rat", "p1", "a", "c", 3)}).ok());
+  ASSERT_TRUE(P(3).Publish(store_.get()).ok());
+  auto report = p9.Reconcile(store_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(p9.deferred_count(), 2u);
+
+  auto recovered =
+      Participant::RecoverFromStore(9, &catalog_, picky, store_.get());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->deferred_count(), 2u);
+  EXPECT_EQ((*recovered)->pending_conflicts().size(), 1u);
+  EXPECT_TRUE((*recovered)->instance() == p9.instance());
+}
+
 TEST_P(RecoveryTest, UnregisteredPeerFails) {
   TrustPolicy policy(99);
   EXPECT_FALSE(

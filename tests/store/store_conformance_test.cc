@@ -131,6 +131,30 @@ TEST_P(StoreConformanceTest, AntecedentClosureDelivered) {
   EXPECT_TRUE(InstanceHasExactly(P(3).instance(), {T({"rat", "p1", "b"})}));
 }
 
+TEST_P(StoreConformanceTest, UntrustedAntecedentShippedWithTrustedDependent) {
+  // A peer trusting only p2 still needs p1's insert, the antecedent of
+  // p2's revision: the walk skips the insert as an untrusted root and
+  // must ship it when it reaches it as an antecedent.
+  auto picky_policy = std::make_unique<TrustPolicy>(9);
+  picky_policy->TrustPeer(2, 1);
+  ASSERT_TRUE(store_->RegisterParticipant(9, picky_policy.get()).ok());
+  core::Participant picky(9, &catalog_, *picky_policy);
+
+  ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "a", 1)}).ok());
+  ASSERT_TRUE(P(1).PublishAndReconcile(store_.get()).ok());
+  ASSERT_TRUE(P(2).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(2).ExecuteTransaction({Mod("rat", "p1", "a", "b", 2)}).ok());
+  ASSERT_TRUE(P(2).PublishAndReconcile(store_.get()).ok());
+
+  auto report = picky.Reconcile(store_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->accepted.size(), 1u);
+  EXPECT_EQ(report->accepted[0].origin, 2u);
+  EXPECT_TRUE(report->rejected.empty());
+  EXPECT_TRUE(report->deferred.empty());
+  EXPECT_TRUE(InstanceHasExactly(picky.instance(), {T({"rat", "p1", "b"})}));
+}
+
 TEST_P(StoreConformanceTest, DecisionsPreventRedelivery) {
   ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "mine", 1)}).ok());
   ASSERT_TRUE(P(1).PublishAndReconcile(store_.get()).ok());
