@@ -1,5 +1,7 @@
 #include "core/fetch_cache.h"
 
+#include <algorithm>
+
 namespace orchestra::core {
 
 const Transaction* FetchCache::Lookup(const TransactionId& id) const {
@@ -14,7 +16,25 @@ const Transaction* FetchCache::Lookup(const TransactionId& id) const {
 
 void FetchCache::Admit(Transaction txn) {
   const TransactionId id = txn.id;
-  if (arena_.emplace(id, std::move(txn)).second) ++stats_.admitted;
+  const Epoch epoch = txn.epoch;
+  auto [it, inserted] = arena_.emplace(id, std::move(txn));
+  if (!inserted) return;
+  by_epoch_[epoch].push_back(id);
+  ++stats_.admitted;
+}
+
+void FetchCache::InvalidateEpoch(Epoch epoch) {
+  auto it = by_epoch_.find(epoch);
+  if (it == by_epoch_.end()) return;
+  for (const TransactionId& id : it->second) arena_.erase(id);
+  by_epoch_.erase(it);
+}
+
+void FetchCache::InvalidateAbove(Epoch floor) {
+  for (auto it = by_epoch_.upper_bound(floor); it != by_epoch_.end();
+       it = by_epoch_.erase(it)) {
+    for (const TransactionId& id : it->second) arena_.erase(id);
+  }
 }
 
 void FetchCache::MarkApplied(ParticipantId peer, const TransactionId& id) {
@@ -31,6 +51,20 @@ bool FetchCache::KnownApplied(ParticipantId peer,
 
 void FetchCache::ResetApplied(ParticipantId peer, TxnIdSet applied) {
   applied_[peer] = std::move(applied);
+}
+
+void FetchCache::ForgetPeer(ParticipantId peer) {
+  applied_.erase(peer);
+  watermarks_.erase(peer);
+}
+
+void FetchCache::SetWatermark(ParticipantId peer, Epoch epoch) {
+  watermarks_[peer] = epoch;
+}
+
+Epoch FetchCache::Watermark(ParticipantId peer) const {
+  auto it = watermarks_.find(peer);
+  return it == watermarks_.end() ? 0 : it->second;
 }
 
 }  // namespace orchestra::core

@@ -1,7 +1,9 @@
 #ifndef ORCHESTRA_CORE_FETCH_CACHE_H_
 #define ORCHESTRA_CORE_FETCH_CACHE_H_
 
+#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "core/extension.h"
 #include "core/ids.h"
@@ -18,13 +20,15 @@ namespace orchestra::core {
 ///  - a *decoded-transaction arena*, shared by every peer: committed
 ///    transactions are immutable (a committed id can never be
 ///    republished), so each is decoded once and served from the arena
-///    on every later reconciliation. Only transactions under a committed
-///    epoch may be admitted — residue of an aborted publish can be
-///    overwritten by a republish and must never be cached. Reaping only
-///    ever aborts uncommitted epochs, so no entry goes stale.
+///    on every later reconciliation, keyed by (epoch, txn id). Only
+///    transactions under a committed epoch may be admitted — residue of
+///    an aborted publish can be overwritten by a republish and must
+///    never be cached. Epoch-keyed invalidation covers the defensive
+///    cases (reaping, recovery).
 ///
-///  - *per-peer* applied sets: the ids the store has durably recorded as
-///    applied by each peer, each a conservative overlay over the store's
+///  - *per-peer* bookkeeping: the ids the store has durably recorded as
+///    applied by each peer, plus the peer's fetch watermark. The
+///    applied set is a conservative overlay over the store's
 ///    authoritative decision state — entries are added only at commit
 ///    points (publish acked, decisions recorded, bootstrap adopted), so
 ///    a hit can safely suppress a per-key lookup whose answer would be
@@ -48,9 +52,13 @@ class FetchCache {
   /// transaction's epoch is committed.
   void Admit(Transaction txn);
 
+  /// Drops every cached transaction of `epoch` / of epochs > `floor`.
+  void InvalidateEpoch(Epoch epoch);
+  void InvalidateAbove(Epoch floor);
+
   size_t arena_size() const { return arena_.size(); }
 
-  /// --- Per-peer applied sets ------------------------------------------
+  /// --- Per-peer applied sets and watermarks ---------------------------
 
   void MarkApplied(ParticipantId peer, const TransactionId& id);
   /// True when the store has durably recorded `id` as applied by `peer`.
@@ -59,12 +67,21 @@ class FetchCache {
   /// Replaces the peer's applied set wholesale (recovery/bootstrap hand
   /// the authoritative set over in one piece).
   void ResetApplied(ParticipantId peer, TxnIdSet applied);
+  /// Drops everything known about the peer (its process restarted; the
+  /// store re-learns from its own durable state).
+  void ForgetPeer(ParticipantId peer);
+
+  void SetWatermark(ParticipantId peer, Epoch epoch);
+  Epoch Watermark(ParticipantId peer) const;
 
   const Stats& stats() const { return stats_; }
 
  private:
   std::unordered_map<TransactionId, Transaction, TransactionIdHash> arena_;
+  /// Epoch index over the arena, driving watermark-based invalidation.
+  std::map<Epoch, std::vector<TransactionId>> by_epoch_;
   std::unordered_map<ParticipantId, TxnIdSet> applied_;
+  std::unordered_map<ParticipantId, Epoch> watermarks_;
   mutable Stats stats_;
 };
 

@@ -1,6 +1,7 @@
 // Unit tests for the FetchCache behind incremental (delta) fetch: the
-// shared decoded-transaction arena, and the per-peer applied sets that
-// suppress redundant per-key lookups.
+// shared decoded-transaction arena with epoch-keyed invalidation, and
+// the per-peer applied sets / watermarks that suppress redundant
+// per-key lookups.
 #include <gtest/gtest.h>
 
 #include "core/fetch_cache.h"
@@ -32,6 +33,32 @@ TEST(FetchCacheTest, LookupMissesThenHitsAfterAdmit) {
   EXPECT_EQ(cache.arena_size(), 1u);
 }
 
+TEST(FetchCacheTest, InvalidateEpochDropsOnlyThatEpoch) {
+  FetchCache cache;
+  cache.Admit(MakeTxn(1, 1, 3));
+  cache.Admit(MakeTxn(1, 2, 4));
+  cache.Admit(MakeTxn(2, 1, 4));
+  ASSERT_EQ(cache.arena_size(), 3u);
+
+  cache.InvalidateEpoch(4);
+  EXPECT_EQ(cache.arena_size(), 1u);
+  EXPECT_NE(cache.Lookup({1, 1}), nullptr);
+  EXPECT_EQ(cache.Lookup({1, 2}), nullptr);
+  EXPECT_EQ(cache.Lookup({2, 1}), nullptr);
+}
+
+TEST(FetchCacheTest, InvalidateAboveDropsEverythingPastTheFloor) {
+  FetchCache cache;
+  cache.Admit(MakeTxn(1, 1, 2));
+  cache.Admit(MakeTxn(1, 2, 3));
+  cache.Admit(MakeTxn(1, 3, 5));
+  cache.InvalidateAbove(3);
+  EXPECT_EQ(cache.arena_size(), 2u);
+  EXPECT_NE(cache.Lookup({1, 1}), nullptr);
+  EXPECT_NE(cache.Lookup({1, 2}), nullptr);
+  EXPECT_EQ(cache.Lookup({1, 3}), nullptr);
+}
+
 TEST(FetchCacheTest, AppliedSetsArePerPeer) {
   FetchCache cache;
   const TransactionId id{3, 9};
@@ -56,6 +83,24 @@ TEST(FetchCacheTest, ResetAppliedReplacesTheOverlayWholesale) {
   EXPECT_FALSE(cache.KnownApplied(1, {1, 1}));
   EXPECT_FALSE(cache.KnownApplied(1, {1, 2}));
   EXPECT_TRUE(cache.KnownApplied(1, {2, 5}));
+}
+
+TEST(FetchCacheTest, ForgetPeerDropsOverlayAndWatermark) {
+  FetchCache cache;
+  cache.MarkApplied(4, {1, 1});
+  cache.SetWatermark(4, 12);
+  ASSERT_EQ(cache.Watermark(4), 12);
+
+  cache.ForgetPeer(4);
+  EXPECT_FALSE(cache.KnownApplied(4, {1, 1}));
+  EXPECT_EQ(cache.Watermark(4), 0);
+}
+
+TEST(FetchCacheTest, WatermarksStartAtZero) {
+  FetchCache cache;
+  EXPECT_EQ(cache.Watermark(9), 0);
+  cache.SetWatermark(9, 4);
+  EXPECT_EQ(cache.Watermark(9), 4);
 }
 
 }  // namespace
